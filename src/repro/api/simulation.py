@@ -112,7 +112,6 @@ class Simulation:
                  placement: Union[None, str, PlacementPolicy] = None,
                  faults=None,
                  compile: Union[None, bool, dict, object] = None,
-                 parallel: Union[None, bool, int, dict, object] = None,
                  max_events: Optional[int] = None):
         """
         Parameters
@@ -154,18 +153,6 @@ class Simulation:
             under fault injection (the interpreted layering carries the
             recovery protocol).  See :meth:`explain` for the pipeline's
             account of a graph.
-        parallel:
-            Opt into partitioned execution (:mod:`repro.parallel`):
-            ``True``, a shard count, an options dict (e.g.
-            ``{"workers": 4}``) or ``ParallelOptions``.  Graph runs
-            shard on the compiled plan's group blocks, rank programs on
-            the machine's node map; results stay bit-identical to
-            serial (the conservative merge preserves global event
-            order).  Silently bypassed under fault injection, like
-            ``compile=`` — and an active parallel run keeps the plan
-            compiler uninstalled.  :meth:`explain` appends the chosen
-            partition, its lookahead window, and a warning for any
-            shard cut through an eager flow.
         max_events:
             Safety budget on engine events (livelock guard).
         """
@@ -208,14 +195,6 @@ class Simulation:
                 raise GraphError(str(exc)) from exc
         else:
             self.compile_opts = None
-        if parallel is not None and parallel is not False:
-            from ..parallel import ParallelError, resolve_parallel
-            try:
-                self.parallel_opts = resolve_parallel(parallel)
-            except ParallelError as exc:
-                raise GraphError(str(exc)) from exc
-        else:
-            self.parallel_opts = None
 
     # ------------------------------------------------------------------
     def run(self, target: Union[StreamGraph, CompiledGraph, Callable], *,
@@ -262,22 +241,9 @@ class Simulation:
                 self._plan_placement, plan))
         sim = run(main, self.nprocs, machine=machine,
                   trace=self.trace, max_events=self.max_events,
-                  faults=self.faults, compile=self.compile_opts,
-                  parallel=self._graph_parallel(plan))
+                  faults=self.faults, compile=self.compile_opts)
         return Report(sim=sim, plan=plan,
                       records=list(sim.values))
-
-    def _graph_parallel(self, plan):
-        """Graph runs shard on the plan's group blocks (a stage never
-        straddles a shard) unless the opt-in pinned explicit shards."""
-        par = self.parallel_opts
-        if par is None or par.shards is not None:
-            return par
-        from ..parallel import shards_from_blocks
-        blocks = [(name, spec.first_rank, spec.size)
-                  for name, spec in plan.groups.items()]
-        return replace(par, shards=shards_from_blocks(
-            blocks, self.nprocs, par.workers))
 
     def explain(self, target: Union[StreamGraph, CompiledGraph]) -> str:
         """The pass pipeline's account of how ``target`` would execute
@@ -293,30 +259,7 @@ class Simulation:
                 f"simulation has {self.nprocs}")
         exe = compile_graph(compiled, machine=self.machine,
                             options=self.compile_opts)
-        text = exe.explain()
-        if self.parallel_opts is not None:
-            graph = compiled.graph if hasattr(compiled, "graph") else None
-            text = text + "\n" + self._parallel_report(compiled.plan, graph)
-        return text
-
-    def _parallel_report(self, plan, graph) -> str:
-        """The partition block :meth:`explain` appends: chosen shards,
-        lookahead window, and eager-flow cut warnings."""
-        from ..parallel import (
-            cut_warnings,
-            lookahead_bound,
-            partition_report,
-            validate_shards,
-        )
-        from ..simmpi.network import build_network
-        par = self._graph_parallel(plan)
-        shards = validate_shards(par.shards, self.nprocs)
-        fabric = build_network(self.machine, self.nprocs)
-        window = (par.window if par.window is not None
-                  else lookahead_bound(fabric, shards))
-        warnings = cut_warnings(graph, plan, shards)
-        return partition_report(shards, window, warnings,
-                                workers_requested=par.workers)
+        return exe.explain()
 
     def couple(self, graph_a: StreamGraph, graph_b: StreamGraph, *,
                hub=None, port_a: str, port_b: str,
@@ -352,7 +295,7 @@ class Simulation:
 
         sim = run(main, self.nprocs, machine=self.machine,
                   trace=self.trace, max_events=self.max_events,
-                  faults=self.faults, parallel=self.parallel_opts)
+                  faults=self.faults)
         return Report(sim=sim)
 
     def _run_program(self, fn: Callable, args: tuple,
@@ -364,8 +307,7 @@ class Simulation:
                 "PlacementPolicy (e.g. ColocatedPlacement(groups))")
         sim = run(fn, self.nprocs, machine=self.machine, args=args,
                   rank_args=rank_args, trace=self.trace,
-                  max_events=self.max_events, faults=self.faults,
-                  parallel=self.parallel_opts)
+                  max_events=self.max_events, faults=self.faults)
         return Report(sim=sim)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -405,10 +405,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     perf_group.add_argument("--write-golden", default=None, metavar="FILE",
                             help="write the golden file for one scenario")
     perf_group.add_argument("--variant", default="fast",
-                            choices=("fast", "compiled", "parallel"),
+                            choices=("fast", "compiled"),
                             help="execution variant for golden check/write "
-                                 "(compiled and parallel must match the "
-                                 "same golden — both are bit-identical)")
+                                 "(compiled must match the same golden — "
+                                 "the compiler is bit-identical)")
     perf_group.add_argument("--require-compiled-speedup", action="append",
                             default=None, metavar="NAME[:RATIO]",
                             help="after the suite, exit 1 unless the "

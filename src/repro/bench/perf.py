@@ -19,13 +19,6 @@ Three kinds of output:
   fails loudly otherwise.  Fault-free scenarios additionally run a
   **compiled** leg (:mod:`repro.compile` plan compiler) held to the
   same bit-identity bar against the fast path.
-* **parallel equivalence** — fault-free scenarios run a **parallel**
-  leg (:mod:`repro.parallel` conservative-lookahead scheduler, 2
-  workers) held to the same bit-identity bar against the serial fast
-  path.  Wall-clock speedup is reported but never gated here: the
-  strict-merge engine guarantees identity on any core count, while
-  speedup is hardware-dependent (``_meta`` records ``cpu_count`` and
-  ``parallel_workers`` so payloads are comparable).
 * **golden gating** — ``--check-golden`` compares a scenario's
   virtual-time results against a committed golden file; CI runs the
   quickstart scenario this way so a change that silently perturbs
@@ -58,12 +51,6 @@ SCHEMA = 2
 
 class PerfError(RuntimeError):
     """A perf invariant failed (oracle mismatch, golden mismatch)."""
-
-
-#: worker-lane count the parallel legs run with (the smallest parallel
-#: configuration — identity must hold for any count, so the cheapest
-#: one gates)
-PARALLEL_WORKERS = 2
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +334,7 @@ class PerfRecord:
     """One (scenario, variant) measurement."""
 
     scenario: str
-    variant: str           # "fast" | "oracle" | "compiled" | "parallel"
+    variant: str                   # "fast" | "oracle" | "compiled"
     wall_s: float
     events: int
     events_per_sec: float
@@ -458,7 +445,7 @@ def run_scenario(name: str, variant: str = "fast",
     if scenario is None:
         raise PerfError(f"unknown scenario {name!r}; "
                         f"choose from {sorted(SCENARIOS)}")
-    if variant not in ("fast", "oracle", "compiled", "parallel"):
+    if variant not in ("fast", "oracle", "compiled"):
         raise PerfError(f"unknown variant {variant!r}")
     fn, args, machine = scenario.build()
     kwargs = _slow_path_kwargs(scenario) if variant == "oracle" else {}
@@ -468,13 +455,6 @@ def run_scenario(name: str, variant: str = "fast",
                 f"scenario {name!r} injects faults; the plan compiler "
                 "bypasses itself there — no compiled leg to measure")
         kwargs["compile"] = True
-    if variant == "parallel":
-        if scenario.faults is not None:
-            raise PerfError(
-                f"scenario {name!r} injects faults; the parallel "
-                "scheduler bypasses itself there — no parallel leg to "
-                "measure")
-        kwargs["parallel"] = PARALLEL_WORKERS
     if scenario.faults is not None:
         kwargs["faults"] = scenario.faults
     wall = None
@@ -500,17 +480,6 @@ def run_scenario(name: str, variant: str = "fast",
         i += 1
     peak_posted, peak_unexpected = _mailbox_peaks(sim)
     digest = last_digest
-    extra: Dict[str, Any] = {}
-    if variant == "parallel":
-        summary = sim.extras.get("parallel")
-        if summary:
-            # drop non-finite stats (min_slack with no boundary traffic)
-            # so the record survives a strict-JSON round trip
-            import math
-            extra["parallel"] = {
-                k: v for k, v in summary.items()
-                if not (isinstance(v, float) and not math.isfinite(v))
-            }
     return PerfRecord(
         scenario=name,
         variant=variant,
@@ -523,7 +492,6 @@ def run_scenario(name: str, variant: str = "fast",
         peak_posted=peak_posted,
         peak_unexpected=peak_unexpected,
         digest=digest,
-        extra=extra,
     )
 
 
@@ -599,29 +567,6 @@ def verify_compiled(name: str, fast: PerfRecord, repeats: int = 1,
             f"scenario {name!r}: compiled execution diverged from the "
             f"interpreted fast path — " + "; ".join(mismatches))
     return compiled
-
-
-def verify_parallel(name: str, fast: PerfRecord, repeats: int = 1,
-                    isolate: bool = False) -> PerfRecord:
-    """Run the parallel leg; raise unless its virtual-time results are
-    bit-identical to the already-measured fast (serial) leg.
-
-    Identity, not speedup, is what gates: the strict-merge parallel
-    scheduler fires the serial event sequence by construction, so any
-    divergence is a scheduler bug regardless of core count.
-    """
-    par = run_scenario(name, "parallel", repeats=repeats, isolate=isolate)
-    mismatches = [
-        f"{field_}: parallel={getattr(par, field_)!r} "
-        f"serial={getattr(fast, field_)!r}"
-        for field_ in _IDENTITY_FIELDS
-        if getattr(par, field_) != getattr(fast, field_)
-    ]
-    if mismatches:
-        raise PerfError(
-            f"scenario {name!r}: parallel execution diverged from the "
-            f"serial fast path — " + "; ".join(mismatches))
-    return par
 
 
 def require_compiled_at_least(payload: Dict[str, Any], name: str,
@@ -731,10 +676,6 @@ def _meta() -> Dict[str, Any]:
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
-        # the lane count the parallel legs ran with: identity holds on
-        # any hardware, but speedups only compare across payloads whose
-        # cpu_count/parallel_workers agree (`--compare` warns otherwise)
-        "parallel_workers": PARALLEL_WORKERS,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         # the same source digest the study cache keys on: two payloads
         # with equal code_version measured identical simulator code
@@ -788,12 +729,6 @@ def run_suite(names: Optional[List[str]] = None,
             entry["compiled_identical"] = True
             entry["speedup_compiled_vs_fast"] = round(
                 compiled.events_per_sec / fast.events_per_sec, 3)
-            par = verify_parallel(name, fast, repeats=repeats,
-                                  isolate=True)
-            entry["parallel"] = par.to_json()
-            entry["parallel_identical"] = True
-            entry["speedup_parallel_vs_fast"] = round(
-                par.events_per_sec / fast.events_per_sec, 3)
         if compare is not None:
             before = (compare.get("scenarios", {}).get(name, {})
                       .get("fast", compare.get("scenarios", {})
@@ -879,8 +814,7 @@ def render_report(payload: Dict[str, Any]) -> str:
               f"{'wall (s)':>9} | {'events/s':>10} | {'speedup':>8}")
     lines += [header, "-" * 74]
     for name, entry in payload["scenarios"].items():
-        for variant in ("before", "oracle", "fast", "compiled",
-                        "parallel"):
+        for variant in ("before", "oracle", "fast", "compiled"):
             rec = entry.get(variant)
             if not rec:
                 continue
@@ -891,9 +825,6 @@ def render_report(payload: Dict[str, Any]) -> str:
             elif variant == "compiled":
                 speedup = (entry.get("speedup_compiled_vs_before")
                            or entry.get("speedup_compiled_vs_fast"))
-                tag = f"{speedup:>7.2f}x" if speedup else f"{'':>8}"
-            elif variant == "parallel":
-                speedup = entry.get("speedup_parallel_vs_fast")
                 tag = f"{speedup:>7.2f}x" if speedup else f"{'':>8}"
             else:
                 tag = f"{'':>8}"
@@ -907,12 +838,6 @@ def render_report(payload: Dict[str, Any]) -> str:
         if entry.get("compiled_identical"):
             lines.append(f"{'':>12} |   compiled execution bit-identical "
                          "to the interpreted fast path")
-        if entry.get("parallel_identical"):
-            workers = (entry.get("parallel", {}).get("extra", {})
-                       .get("parallel", {}).get("workers"))
-            tag = f" ({workers} lanes)" if workers else ""
-            lines.append(f"{'':>12} |   parallel execution bit-identical "
-                         f"to the serial fast path{tag}")
         for key, label in (("profile", "profile"),
                            ("profile_compiled", "profile(compiled)")):
             prof = entry.get(key)

@@ -7,9 +7,9 @@ quotes the variable and the offending value (the behavior
 ``ValueError: invalid literal for int()`` with no hint of where the
 string came from.
 
-    >>> os.environ["REPRO_PAR_WORKERS"] = "two"
-    >>> env_int("REPRO_PAR_WORKERS", what="worker count")
-    EnvVarError: $REPRO_PAR_WORKERS must be an integer worker count,
+    >>> os.environ["REPRO_STUDY_JOBS"] = "two"
+    >>> env_int("REPRO_STUDY_JOBS", what="integer worker count")
+    EnvVarError: $REPRO_STUDY_JOBS must be an integer worker count,
     got 'two'
 
 Callers that surface their own error taxonomy (the study runner's

@@ -14,7 +14,8 @@ crash lifecycle (see DESIGN.md §12):
 
    * rendezvous headers parked in the dead rank's mailbox poison their
      sender requests (the sender wakes with
-     :class:`~repro.simmpi.errors.ProcessFailedError`);
+     :class:`~repro.simmpi.errors.ProcessFailedError`), and so does
+     every header still in flight to it, when it lands;
    * posted receives of surviving members of every communicator the
      dead rank belonged to are cancelled — exact receives from the dead
      rank *and* wildcard receives (ULFM's ``PROC_FAILED_PENDING``),
@@ -132,13 +133,15 @@ class FaultController:
         self.engine.call_after(self.plan.detection_latency,
                                partial(self._detect, rank))
 
-    def _detect(self, rank: int) -> None:
-        now = self.engine.now
-        self.detected[rank] = now
-        self.version += 1
-        exc = ProcessFailedError(
+    def _failure(self, rank: int) -> ProcessFailedError:
+        return ProcessFailedError(
             f"rank {rank} (global) failed at t={self.failed[rank]:.6g}, "
-            f"detected at t={now:.6g}", rank=rank)
+            f"detected at t={self.detected[rank]:.6g}", rank=rank)
+
+    def _detect(self, rank: int) -> None:
+        self.detected[rank] = self.engine.now
+        self.version += 1
+        exc = self._failure(rank)
         engine = self.engine
         mailboxes = self.world.mailboxes
         # rendezvous senders parked in the dead rank's mailbox: their
@@ -215,6 +218,17 @@ class FaultController:
     # ------------------------------------------------------------------
     # gates the transport consults (fault-mode runs only)
     # ------------------------------------------------------------------
+    def deliver_header(self, gdst: int, env) -> None:
+        """Land a rendezvous header in ``gdst``'s mailbox, unless
+        ``gdst``'s failure was detected while the header was in flight:
+        the detection sweep has already passed, so poison the sender
+        here or it would wait forever."""
+        if gdst in self.detected:
+            self.engine.set_flag(env.sender_req,
+                                 FaultSignal(self._failure(gdst)))
+        else:
+            self.world.mailboxes[gdst].deliver(env)
+
     def check_send(self, gdst: int, context: int) -> None:
         if context in self.revoked:
             raise RevokedError(

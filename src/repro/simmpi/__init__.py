@@ -80,7 +80,6 @@ from .noise import NoiseModel
 from .network import Fabric, Network, TransferTiming, build_network
 from .request import PersistentRequest, Request, Status
 from .rma import Win
-from .scheduler import Scheduler, SerialScheduler
 from .topology import CartComm, cart_create, dims_create
 
 __all__ = [
@@ -93,8 +92,7 @@ __all__ = [
     "NoiseModel", "PartitionedPlacement", "PersistentRequest", "Placement",
     "PlacementError", "PlacementPolicy", "ProcessFailedError", "Request",
     "RequestError", "RevokedError",
-    "RoundRobinPlacement", "Scheduler", "SerialScheduler", "SimMPIError",
-    "SimResult", "SizedPayload",
+    "RoundRobinPlacement", "SimMPIError", "SimResult", "SizedPayload",
     "Spawn", "Status", "TAG_UB", "TopologyConfig", "TopologyError",
     "TransferTiming", "TruncationError", "WaitFlag", "Win", "WindowError",
     "beskow",

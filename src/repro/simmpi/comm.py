@@ -166,10 +166,6 @@ class World:
         # run opts into compiled mode; None keeps every path interpreted
         self._compile_opts = None
         self._stream_compiler = None
-        # parallel execution (repro.parallel): rank -> lane map when the
-        # launcher shards the engine; None on every serial run, so the
-        # cross-rank routing gates below stay single pointer compares
-        self._lane_of_rank = None
         # compute charges are immutable to the engine; deterministic
         # compute() durations repeat heavily (per-file map costs,
         # per-element merge costs), so share them
@@ -237,15 +233,6 @@ class World:
             env.eager = True
             env.delivered_time = delivered
             env.on_match = None
-            if self._lane_of_rank is not None:
-                # sharded engine: the delivery is a boundary message
-                # routed to the destination rank's lane; the sender-free
-                # wake stays on the active (sender's) lane
-                engine.deliver_at(gdst, delivered,
-                                  partial(self.mailboxes[gdst].deliver, env))
-                engine.call_at(timing.sender_free,
-                               partial(engine.set_flag, req))
-                return req
             # both event times are provably >= now (the transfer starts
             # at `ready=now`), so the call_at clamp is skipped and the
             # two pushes are inlined
@@ -264,17 +251,8 @@ class World:
             match_time = engine.now
             ready = max(match_time, now)
             timing = self.network.transfer(gsrc, gdst, nbytes, ready=ready)
-            if self._lane_of_rank is not None:
-                # on_match runs on the receiver's lane; the sender-free
-                # wake belongs to the sender's.  This is the protocol's
-                # zero-lookahead reverse edge — sender_free may precede
-                # now + lookahead — so it routes as a wake, exempt from
-                # the window invariant (DESIGN.md §16)
-                engine.wake_at(gsrc, timing.sender_free,
-                               partial(engine.set_flag, req))
-            else:
-                engine.call_at(timing.sender_free,
-                               partial(engine.set_flag, req))
+            engine.call_at(timing.sender_free,
+                           partial(engine.set_flag, req))
             recv_done(timing.delivered)
 
         env = Envelope(lsrc, tag, context, nbytes, payload,
@@ -282,9 +260,10 @@ class World:
         env.on_match = on_match
         env.sender_req = req  # lets a receiver failure poison the sender
         header_latency, _ = self.network._link(gsrc, gdst)
-        if self._lane_of_rank is not None:
-            engine.deliver_at(gdst, now + header_latency,
-                              partial(self.mailboxes[gdst].deliver, env))
+        if ctl is not None:
+            # the receiver may be declared dead while the header flies
+            engine.call_at(now + header_latency,
+                           partial(ctl.deliver_header, gdst, env))
         else:
             engine.call_at(now + header_latency,
                            partial(self.mailboxes[gdst].deliver, env))

@@ -41,7 +41,7 @@ drain identical event sequences.
 from __future__ import annotations
 
 from functools import partial
-from heapq import heappush as _heappush
+from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 
@@ -225,11 +225,6 @@ class Engine:
         self._proc_of_handle: dict = {}
         self.max_events: Optional[int] = None
         self._events_fired: int = 0
-        #: pluggable event-loop driver (the Scheduler seam, DESIGN.md
-        #: §16).  None resolves lazily to SerialScheduler on the first
-        #: run() — the common case pays one None check per run, not an
-        #: import at engine construction.
-        self.scheduler: Optional["object"] = None
 
     # ------------------------------------------------------------------
     # scheduling primitives
@@ -411,41 +406,54 @@ class Engine:
             if cls is Spawn:
                 sendval = self.spawn(cmd.gen, cmd.name, daemon=cmd.daemon)
                 continue
-            # slow path: tolerate syscall subclasses before rejecting
-            if isinstance(cmd, Delay):
-                proc.blocked_on = cmd
-                self.call_after(cmd.dt, proc.resume)
-                return
-            if isinstance(cmd, WaitFlag):
-                flag = cmd.flag
-                if flag.is_set:
-                    sendval = flag.payload
-                    continue
-                proc.blocked_on = cmd
-                flag._waiters.append(proc)
-                return
-            if isinstance(cmd, Spawn):
-                sendval = self.spawn(cmd.gen, cmd.name, daemon=cmd.daemon)
-                continue
             raise TypeError(
                 f"process {proc.handle.name!r} yielded unsupported syscall "
-                f"{cmd!r}; expected Delay/WaitFlag/Spawn"
+                f"{cmd!r}; expected Delay/WaitFlag/Spawn/Segment"
             )
 
     def run(self) -> float:
         """Drain the event heap; return the final virtual time.
 
-        Delegates to the installed :class:`~repro.simmpi.scheduler.
-        Scheduler` (lazily the serial heap-drain loop).  Raises
-        :class:`~repro.simmpi.errors.DeadlockError` when processes
-        remain blocked after the heap empties, listing each stuck
-        process and the primitive it is blocked in.
+        Raises :class:`~repro.simmpi.errors.DeadlockError` when processes
+        remain blocked after the heap empties, listing each stuck process
+        and the primitive it is blocked in.
         """
-        sched = self.scheduler
-        if sched is None:
-            from .scheduler import SerialScheduler
-            sched = self.scheduler = SerialScheduler()
-        return sched.run(self)
+        from .errors import DeadlockError
+
+        heap = self._heap
+        pop = _heappop
+        budget = self.max_events
+        if budget is None:
+            budget = float("inf")
+        fired = self._events_fired
+        now = self.now
+        try:
+            while heap:
+                entry = pop(heap)
+                fired += 1
+                if fired > budget:
+                    raise RuntimeError(
+                        f"event budget exceeded ({self.max_events} events); "
+                        "likely a livelock in a simulated protocol"
+                    )
+                # callbacks never rewind the clock; `now` mirrors
+                # self.now so the compare is a local read
+                time_ = entry[0]
+                if time_ > now:
+                    now = time_
+                    self.now = time_
+                entry[2]()
+        finally:
+            self._events_fired = fired
+        if self._live > 0:
+            blocked = {
+                p.handle.name: p.blocked_label()
+                for p in self._procs
+                if not p.daemon
+                and p.blocked_on not in ("done", "error", "killed")
+            }
+            raise DeadlockError(blocked)
+        return self.now
 
     @property
     def events_fired(self) -> int:

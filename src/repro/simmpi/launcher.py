@@ -66,8 +66,6 @@ def run(fn: Callable, nprocs: int,
         placement=None,
         faults=None,
         compile=None,
-        parallel=None,
-        scheduler=None,
         engine_factory: Optional[Callable[[], Engine]] = None,
         mailbox_factory: Optional[Callable] = None,
         network_factory: Optional[Callable] = None) -> SimResult:
@@ -113,22 +111,6 @@ def run(fn: Callable, nprocs: int,
         segments, bit-identical to the interpreted path.  Silently
         bypassed under fault injection or oracle slow-path injection
         (both need the interpreted generator layering).
-    parallel:
-        Opt into partitioned execution (:mod:`repro.parallel`):
-        ``True``, a shard count, an options dict or
-        ``ParallelOptions``.  Ranks are sharded across engine lanes
-        (whole placement nodes per shard) and driven by the
-        conservative-lookahead ``PartitionedScheduler`` — bit-identical
-        virtual-time results, with window/boundary accounting in
-        ``extras["parallel"]``.  Silently bypassed under fault
-        injection, oracle slow-path injection or an explicit
-        ``scheduler=`` (the same rule as ``compile=``); an active
-        parallel run in turn keeps ``compile=`` uninstalled (the
-        partitioned merge drives the interpreted path).
-    scheduler:
-        Direct :class:`~repro.simmpi.scheduler.Scheduler` injection —
-        the seam the parallel subsystem plugs into, also usable by
-        instrumented replay harnesses and tests.
     engine_factory / mailbox_factory / network_factory:
         Implementation injection, used by ``bench perf`` to run the
         :mod:`repro.simmpi.oracle` slow path (pass
@@ -167,51 +149,12 @@ def run(fn: Callable, nprocs: int,
             network_factory = (
                 lambda cfg, n, _plan=plan: FaultyNetwork(cfg, n, _plan))
 
-    # parallel opt-in: resolved (and active) only on the clean fast
-    # path — fault plans and oracle/scheduler injection bypass it
-    # silently, mirroring compile='s gating below
-    par = None
-    if parallel is not None and parallel is not False and plan is None \
-            and scheduler is None and engine_factory is None \
-            and mailbox_factory is None and network_factory is None:
-        # lazy import: repro.parallel sits above simmpi in the layering
-        from ..parallel import ShardedEngine, resolve_parallel
-        par = resolve_parallel(parallel)
-
-    if par is not None:
-        engine = ShardedEngine()
-    else:
-        engine = (engine_factory or Engine)()
+    engine = (engine_factory or Engine)()
     engine.max_events = max_events
     tracer = Tracer() if trace else None
     world = World(engine, machine, nprocs, tracer=tracer,
                   mailbox_factory=mailbox_factory,
                   network_factory=network_factory)
-
-    par_sched = None
-    if par is not None:
-        from ..parallel import (
-            PartitionedScheduler,
-            lane_map,
-            lookahead_bound,
-            shards_from_nodes,
-            validate_shards,
-        )
-        if par.shards is not None:
-            shards = validate_shards(par.shards, nprocs)
-        else:
-            node_of = [world.node_of(r) for r in range(nprocs)]
-            shards = shards_from_nodes(node_of, par.workers)
-        lanes = lane_map(shards, nprocs)
-        engine.configure_lanes(len(shards), lanes)
-        world._lane_of_rank = lanes
-        window = (par.window if par.window is not None
-                  else lookahead_bound(world.network, shards))
-        par_sched = PartitionedScheduler(shards, window,
-                                         workers_requested=par.workers)
-        engine.scheduler = par_sched
-    elif scheduler is not None:
-        engine.scheduler = scheduler
     ctl = None
     if plan is not None:
         ctl = FaultController(engine, world, plan)
@@ -221,7 +164,6 @@ def run(fn: Callable, nprocs: int,
             world._compute_fast = False
 
     if compile is not None and compile is not False and plan is None \
-            and par is None \
             and engine_factory is None and mailbox_factory is None \
             and network_factory is None:
         # lazy import: repro.compile sits above simmpi in the layering
@@ -238,11 +180,7 @@ def run(fn: Callable, nprocs: int,
                     my_local=rank)
         call_args = rank_args(rank) if rank_args is not None else args
         gen = fn(comm, *call_args)
-        if par is not None:
-            handles.append(engine.spawn_on(world._lane_of_rank[rank], gen,
-                                           name=f"rank{rank}"))
-        else:
-            handles.append(engine.spawn(gen, name=f"rank{rank}"))
+        handles.append(engine.spawn(gen, name=f"rank{rank}"))
     if ctl is not None:
         ctl.install(handles)
 
@@ -251,8 +189,6 @@ def run(fn: Callable, nprocs: int,
     extras = {"world": world}
     if ctl is not None:
         extras["faults"] = ctl.summary()
-    if par_sched is not None:
-        extras["parallel"] = par_sched.summary(engine)
     return SimResult(
         nprocs=nprocs,
         elapsed=elapsed,

@@ -183,12 +183,7 @@ class Win:
             mem[offset] = value
             set_flag(settle)
 
-        if world._lane_of_rank is not None:
-            # sharded engine: the landing mutates the target's window
-            # memory — a boundary message into the target's lane
-            engine.deliver_at(comm.ranks[target], timing.delivered, _land)
-        else:
-            engine.call_at(timing.delivered, _land)
+        engine.call_at(timing.delivered, _land)
         self._pending.append(settle)
         return req
 
@@ -301,17 +296,8 @@ class Win:
         if queue:
             nxt, flag, grant_latency = queue.popleft()
             state.lock_owner[target] = nxt
-            world = self.comm.world
-            if world._lane_of_rank is not None:
-                # the grant wakes the next holder, a different rank:
-                # route it to that rank's lane (invariant-exempt — a
-                # same-node grant can undercut the lookahead bound)
-                engine.wake_at(self.comm.ranks[nxt],
-                               engine.now + grant_latency,
-                               partial(engine.set_flag, flag))
-            else:
-                engine.call_at(engine.now + grant_latency,
-                               partial(engine.set_flag, flag))
+            engine.call_at(engine.now + grant_latency,
+                           partial(engine.set_flag, flag))
         else:
             state.lock_owner[target] = None
         self._epoch = "none"

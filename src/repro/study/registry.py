@@ -68,17 +68,16 @@ MACHINE_FACTORIES: Dict[str, Callable[[], MachineConfig]] = {
 #: placement policies whose group blocks come from a compiled plan
 _PLAN_POLICIES = ("colocated", "partitioned")
 
-#: keys a machine spec may carry.  "faults", "cosim", "compile" and
-#: "parallel" are not part of the MachineConfig — faults resolve to a
-#: FaultPlan handed to the launcher, cosim to a HubSpec handed to the
-#: app's worker, and compile/parallel to CompileOptions /
-#: ParallelOptions handed to the launcher — but riding in the machine
-#: spec means every cache key incorporates the fault scenario, coupling
-#: spec, compiler options and execution sharding automatically (the
-#: spec is hashed verbatim).
+#: keys a machine spec may carry.  "faults", "cosim" and "compile" are
+#: not part of the MachineConfig — faults resolve to a FaultPlan handed
+#: to the launcher, cosim to a HubSpec handed to the app's worker, and
+#: compile to CompileOptions handed to the launcher — but riding in the
+#: machine spec means every cache key incorporates the fault scenario,
+#: coupling spec and compiler options automatically (the spec is hashed
+#: verbatim).
 _MACHINE_KEYS = ("preset", "config", "noise", "topology", "placement",
                  "ranks_per_node", "compute_speed", "faults", "cosim",
-                 "compile", "parallel")
+                 "compile")
 
 
 # ----------------------------------------------------------------------
@@ -334,13 +333,6 @@ def validate_machine_spec(spec: Optional[Dict[str, Any]],
             resolve_options(compile_)
         except ValueError as exc:
             raise StudyError(f"machine spec compile: {exc}") from exc
-    parallel = spec.get("parallel")
-    if parallel is not None:
-        from ..parallel import ParallelError, resolve_parallel
-        try:
-            resolve_parallel(parallel)
-        except ParallelError as exc:
-            raise StudyError(f"machine spec parallel: {exc}") from exc
     placement = spec.get("placement")
     if placement is not None:
         if not isinstance(placement, dict):
@@ -367,7 +359,6 @@ def build_machine(spec: Optional[Dict[str, Any]], app: AppSpec,
     spec.pop("faults", None)   # launcher concern, not a MachineConfig field
     spec.pop("cosim", None)    # worker concern, not a MachineConfig field
     spec.pop("compile", None)  # launcher concern (CompileOptions)
-    spec.pop("parallel", None)  # launcher concern (ParallelOptions)
     if "config" in spec:
         base = MachineConfig.from_json(spec["config"])
     else:

@@ -93,8 +93,7 @@ def execute_job(job: Dict[str, Any]) -> Dict[str, Any]:
     _SIMULATIONS_EXECUTED += 1
     sim = run(app.worker, job["nprocs"],
               args=(cfg, *extra, *job.get("args", ())), machine=machine,
-              faults=faults, compile=machine_spec.get("compile"),
-              parallel=machine_spec.get("parallel"))
+              faults=faults, compile=machine_spec.get("compile"))
     return {
         "value": apply_extract(job["extract"], sim),
         "sim": {"elapsed": sim.elapsed, "messages": sim.messages,

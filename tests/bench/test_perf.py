@@ -76,6 +76,7 @@ def test_golden_scenario_name_guard(tmp_path):
 def test_suite_payload_shape(tmp_path):
     payload = perf.run_suite(["quickstart"], check_oracle=False, repeats=1)
     assert payload["meta"]["schema"] == perf.SCHEMA
+    assert payload["meta"]["cpu_count"] == os.cpu_count()
     entry = payload["scenarios"]["quickstart"]
     assert entry["fast"]["events_per_sec"] > 0
     path = perf.save_payload(payload, out_dir=str(tmp_path))
@@ -258,58 +259,6 @@ def test_cli_compiled_variant_and_speedup_gate(tmp_path, capsys):
                      "--check-golden", golden]) == 0
     out = capsys.readouterr().out
     assert "[compiled]" in out
-
-
-def test_parallel_variant_bit_identical_to_serial():
-    fast = perf.run_scenario("quickstart", "fast")
-    par = perf.verify_parallel("quickstart", fast)
-    assert par.variant == "parallel"
-    assert par.digest == fast.digest
-    assert par.events == fast.events
-    stats = par.extra["parallel"]
-    assert stats["workers"] == perf.PARALLEL_WORKERS
-    assert stats["invariant_violations"] == 0
-
-
-def test_parallel_variant_rejected_for_fault_scenarios():
-    with pytest.raises(perf.PerfError, match="bypasses itself"):
-        perf.run_scenario("fault-recovery", "parallel")
-
-
-def test_verify_parallel_raises_on_divergence():
-    fast = perf.run_scenario("quickstart", "fast")
-    forged = perf.PerfRecord(**{**fast.__dict__, "digest": "0" * 64})
-    with pytest.raises(perf.PerfError, match="diverged from the"):
-        perf.verify_parallel("quickstart", forged)
-
-
-def test_suite_carries_the_parallel_leg():
-    payload = perf.run_suite(["quickstart"], check_oracle=False, repeats=1)
-    entry = payload["scenarios"]["quickstart"]
-    assert entry["parallel_identical"] is True
-    assert entry["parallel"]["events_per_sec"] > 0
-    assert entry["speedup_parallel_vs_fast"] > 0
-    assert payload["meta"]["parallel_workers"] == perf.PARALLEL_WORKERS
-    assert payload["meta"]["cpu_count"] == os.cpu_count()
-    report = perf.render_report(payload)
-    assert "parallel" in report
-    assert "serial fast path" in report
-
-
-def test_fault_scenarios_skip_the_parallel_leg():
-    payload = perf.run_suite(["fault-recovery"], check_oracle=False,
-                             repeats=1)
-    entry = payload["scenarios"]["fault-recovery"]
-    assert "parallel" not in entry
-
-
-def test_committed_quickstart_golden_matches_parallel():
-    """The parallel leg must reproduce the committed serial golden —
-    the CI parallel-smoke gate, run as a unit test too."""
-    golden = os.path.join(os.path.dirname(__file__), "..", "..",
-                          "benchmarks", "golden", "quickstart_perf.json")
-    rec = perf.run_scenario("quickstart", "parallel")
-    perf.check_golden(rec, golden)
 
 
 def test_golden_scenarios_scans_committed_files():

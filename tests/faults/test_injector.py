@@ -8,6 +8,8 @@ from repro.faults.plan import FaultError
 from repro.simmpi import (
     ProcessFailedError,
     RevokedError,
+    SizedPayload,
+    beskow,
     quiet_testbed,
     run,
 )
@@ -102,6 +104,29 @@ def test_rendezvous_sender_to_dead_receiver_is_poisoned():
 
     r = run(prog, 2, faults=_crash(0.1, 1))
     assert r.values[0] == "failed"
+
+
+def test_rendezvous_header_in_flight_at_detection_is_poisoned():
+    """A header posted just before the receiver's failure is detected
+    lands after the detection sweep; it must poison its sender when it
+    lands, not park in the dead mailbox forever."""
+    plan = FaultPlan([RankCrash(1e-3, 63)])
+    detected = 1e-3 + plan.detection_latency
+
+    def prog(comm):
+        if comm.rank == 0:
+            yield from comm.sleep(detected - 1e-6)
+            try:
+                yield from comm.send(SizedPayload("face", 1 << 20), dest=63)
+                return "sent"
+            except ProcessFailedError as exc:
+                return ("failed", exc.rank)
+        return "idle"
+
+    r = run(prog, 64, machine=beskow(), faults=plan)
+    assert r.values[0] == ("failed", 63)
+    # the sender woke when its header landed, after the sweep
+    assert r.finish_times[0] > detected
 
 
 def test_post_detection_send_raises_revoked():

@@ -1,5 +1,8 @@
 """Stream-level recovery: checkpoints, acks, successor adoption, replay."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from repro.api import Simulation, StreamGraph
@@ -10,7 +13,13 @@ from repro.faults.apps import (
     cg_halo_recovery,
     pcomm_recovery,
 )
-from repro.simmpi import quiet_testbed, run
+from repro.simmpi import (
+    DeadlockError,
+    SizedPayload,
+    beskow,
+    quiet_testbed,
+    run,
+)
 
 NPROCS = 12          # 3 helper ranks at alpha=0.25
 ALPHA = 0.25
@@ -49,6 +58,33 @@ def _build(stores, checkpoint):
     )
 
 
+def _audit(stores, dead, n_producers, elements):
+    """Problems with delivery after consumer ``dead`` crashed: each
+    producer's elements must reach live consumers exactly once, as an
+    unbroken run to its last element that starts no later than where
+    the dead consumer stopped (it absorbed only a processed prefix)."""
+    dead_store = stores.get(dead, [])
+    seen = {}
+    for rank, store in stores.items():
+        if rank != dead:
+            for producer, i in store:
+                seen.setdefault(producer, []).append(i)
+    problems = []
+    if sorted(seen) != list(range(n_producers)):
+        problems.append(f"only producers {sorted(seen)} reached live "
+                        "consumers")
+    for producer, idx in sorted(seen.items()):
+        first = min(idx)
+        if sorted(idx) != list(range(first, elements)):
+            problems.append(f"producer {producer}: duplicate or gap")
+            continue
+        lost = [i for p, i in dead_store if p == producer]
+        if lost and first > max(lost) + 1:
+            problems.append(f"producer {producer}: elements "
+                            f"{max(lost) + 1}..{first - 1} never delivered")
+    return problems
+
+
 def test_consumer_crash_recovers_with_no_gaps():
     """Every producer's elements reach *some* live consumer as an
     unbroken suffix from the last acked element: replay leaves no gap
@@ -64,27 +100,8 @@ def test_consumer_crash_recovers_with_no_gaps():
     assert sum(v["recoveries"] for v in survivors) == 1
     adopted = sum(v["adopted"] for v in survivors)
     assert adopted > 0
-
-    # audit per producer: the elements seen by SURVIVING consumers must
-    # end at ELEMENTS-1 and be gap-free from their starting point (the
-    # dead consumer absorbed only an acked/processed prefix)
-    dead_store = stores.pop(NPROCS - 1, [])
-    seen = {}
-    for store in stores.values():
-        for producer_rank, i in store:
-            seen.setdefault(producer_rank, set()).add(i)
     n_producers = NPROCS - max(1, round(ALPHA * NPROCS))
-    assert len(seen) == n_producers
-    for producer_rank, indexes in seen.items():
-        assert max(indexes) == ELEMENTS - 1
-        suffix_start = min(indexes)
-        assert indexes == set(range(suffix_start, ELEMENTS)), \
-            f"gap in recovered stream of producer {producer_rank}"
-        # nothing between the dead consumer's last element and the
-        # survivor suffix went missing
-        dead_from_p = [i for r, i in dead_store if r == producer_rank]
-        if dead_from_p:
-            assert suffix_start <= max(dead_from_p) + 1
+    assert not _audit(stores, NPROCS - 1, n_producers, ELEMENTS)
 
 
 def test_fault_free_checkpointing_only_adds_overhead():
@@ -279,3 +296,72 @@ def test_channel_free_degrades_locally_after_failure():
             faults=FaultPlan([RankCrash(0.002, -1)]))
     # completion of every surviving rank IS the assertion
     assert sum(1 for v in r.values if v is None) == 1
+
+
+# ----------------------------------------------------------------------
+# rendezvous-size elements: headers in flight at failure detection
+# ----------------------------------------------------------------------
+
+FACE_PROCS = 16          # 14 producers funnel into 2 helpers
+FACE_HELPERS = 2
+FACE_ELEMENTS = 32
+FACE_PRODUCE_S = 1e-5
+FACE_BYTES = 32 << 10    # above the eager threshold
+
+
+def _face_funnel(seed, stores):
+    """A checkpointed face funnel whose faces travel by rendezvous."""
+    def produce_body(ctx):
+        rank = ctx.comm.rank
+        jitter = random.Random(seed * 65537 + rank)
+        with ctx.producer("faces") as out:
+            for i in range(FACE_ELEMENTS):
+                yield from ctx.compute(
+                    FACE_PRODUCE_S * (1.0 + 0.3 * jitter.random()),
+                    label="produce")
+                yield from out.send(SizedPayload((rank, i), FACE_BYTES))
+        return {"role": "producer"}
+
+    def helper_body(ctx):
+        mine = stores.setdefault(ctx.world.rank, [])
+
+        def op(element):
+            mine.append(element.data.data)
+            yield from ctx.compute(FACE_BYTES * 2e-10, label="aggregate")
+
+        yield from ctx.consumer("faces").operate(op)
+        return {"role": "helper"}
+
+    return (
+        StreamGraph("face-funnel")
+        .stage("compute", size=FACE_PROCS - FACE_HELPERS, body=produce_body)
+        .stage("helper", size=FACE_HELPERS, body=helper_body)
+        .flow("faces", src="compute", dst="helper",
+              checkpoint=Checkpoint(interval=8, state_nbytes=1 << 16))
+    )
+
+
+def test_rendezvous_faces_survive_any_helper_crash():
+    """Seeded property: whichever helper crashes, whenever, a funnel of
+    rendezvous-size faces neither deadlocks (a header still in flight
+    when the failure is detected poisons its sender on landing) nor
+    loses, duplicates or skips an element."""
+    problems = []
+    for seed in range(48):
+        rng = random.Random(seed)
+        dead = FACE_PROCS - 1 - rng.randrange(FACE_HELPERS)
+        when = (FACE_ELEMENTS * FACE_PRODUCE_S * 1.15
+                * rng.uniform(0.25, 0.55))
+        machine = beskow()
+        machine = machine.with_(noise=replace(machine.noise, seed=seed))
+        stores = {}
+        try:
+            Simulation(FACE_PROCS, machine=machine,
+                       faults=FaultPlan([RankCrash(when, dead)])
+                       ).run(_face_funnel(seed, stores))
+        except DeadlockError:
+            problems.append(f"seed {seed}: deadlock")
+            continue
+        problems += [f"seed {seed}: {p}" for p in _audit(
+            stores, dead, FACE_PROCS - FACE_HELPERS, FACE_ELEMENTS)]
+    assert not problems, "\n".join(problems)

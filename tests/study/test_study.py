@@ -76,6 +76,12 @@ def test_unknown_machine_preset_rejected():
                         machine={"preset": "summit"})
 
 
+def test_unknown_machine_key_rejected():
+    with pytest.raises(StudyError, match=r"unknown keys \['parallel'\]"):
+        Study("s").cell("x", app="mapreduce.reference",
+                        machine={"preset": "quiet", "parallel": 2})
+
+
 def test_undeclared_bound_axis_rejected_at_compile():
     s = Study("s").axis("nprocs", [4]).cell(
         "x", app="mapreduce.reference", bind={"alpha": "alpha"})

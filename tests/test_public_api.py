@@ -21,7 +21,6 @@ MODULES = [
     "repro.study",
     "repro.cosim",
     "repro.envcfg",
-    "repro.parallel",
 ]
 
 #: layers that publish an export list (incl. the submodules that carry
@@ -59,9 +58,6 @@ EXPORTING_MODULES = [
     "repro.cosim.coupling",
     "repro.cosim.hub",
     "repro.envcfg",
-    "repro.parallel",
-    "repro.parallel.partition",
-    "repro.simmpi.scheduler",
 ]
 
 
@@ -140,22 +136,6 @@ def test_cosim_exports():
     # the declarative front-end exposes coupling
     from repro.api import Simulation
     assert hasattr(Simulation, "couple")
-
-
-def test_parallel_exports():
-    import repro.parallel as m
-    for name in ("ParallelOptions", "ParallelError", "PartitionedScheduler",
-                 "ShardedEngine", "resolve_parallel", "partition_ranks",
-                 "lookahead_bound", "cut_warnings"):
-        assert hasattr(m, name), name
-    # the scheduler seam the parallel engine plugs into
-    from repro.simmpi.scheduler import Scheduler, SerialScheduler  # noqa: F401
-    from repro.simmpi.engine import Engine
-    assert hasattr(Engine(), "scheduler")
-    # the declarative front-end exposes the opt-in
-    from repro.api import Simulation
-    import inspect
-    assert "parallel" in inspect.signature(Simulation.__init__).parameters
 
 
 def test_version():
