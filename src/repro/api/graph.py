@@ -63,7 +63,8 @@ class StageDef:
     size: Optional[int]
     body: Optional[Body]
     #: nominal seconds if the whole machine ran this stage — the
-    #: auto-sizing pass's T_W0/T'_W1 input (repro.compile); optional
+    #: T_W0/T'_W1 input of :func:`repro.core.model.auto_size_plan`;
+    #: optional
     work: Optional[float] = None
 
     def effective_fraction(self, total_procs: int) -> float:
@@ -125,7 +126,8 @@ class StreamGraph:
         ``size``; ``body(ctx)`` is a generator function (omit it for a
         pure consumer stage whose flows declare operators).  ``work`` is
         the stage's nominal whole-machine runtime in seconds — a hint
-        the compiler's auto-sizing pass uses to balance Eq. 2."""
+        :func:`~repro.core.model.auto_size_plan` uses to size the
+        groups at Eq. 2's balance point."""
         if name in self._stages:
             raise GraphError(f"duplicate stage {name!r}")
         if work is not None and work <= 0:
@@ -301,22 +303,7 @@ class CompiledGraph:
         return self.plan.total_procs
 
     def execute(self, world: Comm) -> Generator[Any, Any, StageRecord]:
-        """This rank's SPMD main, as a generator.
-
-        When the run opted into compiled mode (``run(..., compile=True)``
-        installs the options on the world) and no fault controller is
-        active, the returned generator is the plan compiler's fused
-        driver; otherwise the interpreted ``run_decoupled`` layering.
-        Both are plain ``yield from``-able generators, so call sites
-        never change.
-        """
-        opts = world.world._compile_opts
-        if opts is not None and world.world._fault_ctl is None:
-            from ..compile.executor import executable_for  # lazy: upper layer
-            return executable_for(self, opts).driver(world)
-        return self._interpret(world)
-
-    def _interpret(self, world: Comm) -> Generator[Any, Any, StageRecord]:
+        """This rank's SPMD main, as a generator."""
         bodies = {s.name: self._make_body(s) for s in self.graph.stages}
         record = yield from run_decoupled(world, self.plan, bodies)
         return record

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Optional, Union
 
+from ..core.model import auto_size_plan
+from ..mpistream.channel import blocked_fan_in
 from ..simmpi.config import (
     MachineConfig,
     NoiseConfig,
@@ -111,7 +113,6 @@ class Simulation:
                  topology: Union[None, str, TopologyConfig] = None,
                  placement: Union[None, str, PlacementPolicy] = None,
                  faults=None,
-                 compile: Union[None, bool, dict, object] = None,
                  max_events: Optional[int] = None):
         """
         Parameters
@@ -143,16 +144,6 @@ class Simulation:
             Deterministic fault injection: a :class:`~repro.faults.
             plan.FaultPlan` or its JSON dict (None = fault-free).
             Crash ranks may be negative (``-1`` = last rank).
-        compile:
-            Opt into the plan compiler (:mod:`repro.compile`):
-            ``True``, a :class:`~repro.compile.CompileOptions` or its
-            dict form (e.g. ``{"auto_alpha": True}``).  Graph runs then
-            execute through the pass pipeline's fused driver and static
-            send schedules — bit-identical virtual-time results unless
-            ``auto_alpha`` rewrites group sizes.  Silently bypassed
-            under fault injection (the interpreted layering carries the
-            recovery protocol).  See :meth:`explain` for the pipeline's
-            account of a graph.
         max_events:
             Safety budget on engine events (livelock guard).
         """
@@ -187,14 +178,6 @@ class Simulation:
         self.machine = machine_cfg
         self.trace = trace
         self.max_events = max_events
-        if compile is not None and compile is not False:
-            from ..compile.options import resolve_options
-            try:
-                self.compile_opts = resolve_options(compile)
-            except ValueError as exc:
-                raise GraphError(str(exc)) from exc
-        else:
-            self.compile_opts = None
 
     # ------------------------------------------------------------------
     def run(self, target: Union[StreamGraph, CompiledGraph, Callable], *,
@@ -215,51 +198,62 @@ class Simulation:
             "or a generator rank program")
 
     # ------------------------------------------------------------------
-    def _run_graph(self, target: Union[StreamGraph, CompiledGraph]) -> Report:
+    def _compiled(self, target: Union[StreamGraph, CompiledGraph]
+                  ) -> CompiledGraph:
         compiled = (target if isinstance(target, CompiledGraph)
                     else target.compile(self.nprocs))
         if compiled.total_procs != self.nprocs:
             raise GraphError(
                 f"graph compiled for {compiled.total_procs} processes, "
                 f"simulation has {self.nprocs}")
+        return compiled
+
+    def _run_graph(self, target: Union[StreamGraph, CompiledGraph]) -> Report:
+        compiled = self._compiled(target)
 
         def main(comm):
             record = yield from compiled.execute(comm)
             return record
 
-        # compiled mode: specialize up front so placement and the
-        # report see the executable's plan (auto_alpha may resize
-        # groups); the launcher's executable_for() hits the same memo
-        plan = compiled.plan
-        if self.compile_opts is not None and self.faults is None:
-            from ..compile.executor import executable_for
-            plan = executable_for(compiled, self.compile_opts).plan
-
         machine = self.machine
         if self._plan_placement is not None:
             machine = machine.with_(placement=plan_placement(
-                self._plan_placement, plan))
+                self._plan_placement, compiled.plan))
         sim = run(main, self.nprocs, machine=machine,
                   trace=self.trace, max_events=self.max_events,
-                  faults=self.faults, compile=self.compile_opts)
-        return Report(sim=sim, plan=plan,
+                  faults=self.faults)
+        return Report(sim=sim, plan=compiled.plan,
                       records=list(sim.values))
 
     def explain(self, target: Union[StreamGraph, CompiledGraph]) -> str:
-        """The pass pipeline's account of how ``target`` would execute
-        on this simulation — one line per pass decision (fusion, sizing,
-        schedules, engine segments).  Uses this simulation's compile
-        options when set, the defaults otherwise."""
-        from ..compile.executor import compile_graph
-        compiled = (target if isinstance(target, CompiledGraph)
-                    else target.compile(self.nprocs))
-        if compiled.total_procs != self.nprocs:
-            raise GraphError(
-                f"graph compiled for {compiled.total_procs} processes, "
-                f"simulation has {self.nprocs}")
-        exe = compile_graph(compiled, machine=self.machine,
-                            options=self.compile_opts)
-        return exe.explain()
+        """How ``target`` runs on this simulation: one line per group
+        (rank block, size), one per flow (fan-in, window, routing or
+        checkpoint), and the Eq. 2 sizing line of
+        :func:`~repro.core.model.auto_size_plan` for this machine."""
+        compiled = self._compiled(target)
+        graph, plan = compiled.graph, compiled.plan
+        lines = [f"{graph.name!r} on {plan.total_procs} procs, "
+                 f"machine {self.machine.name!r}"]
+        for name, g in plan.groups.items():
+            lines.append(f"  group {name}: ranks {g.first_rank}.."
+                         f"{g.first_rank + g.size - 1}, size {g.size}")
+        for f in graph.flows:
+            if f.router is not None:
+                routing = "per-element routing"
+            else:
+                counts = blocked_fan_in(plan.groups[f.src].size,
+                                        plan.groups[f.dst].size)
+                lo, hi = int(min(counts)), int(max(counts))
+                fan_in = f"{lo}" if lo == hi else f"{lo}..{hi}"
+                routing = f"fan-in {fan_in} per consumer, blocked routing"
+            line = (f"  flow {f.name}: {f.src} -> {f.dst}, {routing}, "
+                    f"window {f.window}")
+            if f.checkpoint is not None:
+                line += f", checkpoint every {f.checkpoint.interval} elements"
+            lines.append(line)
+        _, notes = auto_size_plan(graph, plan, machine=self.machine)
+        lines += [f"  sizing: {note}" for note in notes]
+        return "\n".join(lines)
 
     def couple(self, graph_a: StreamGraph, graph_b: StreamGraph, *,
                hub=None, port_a: str, port_b: str,

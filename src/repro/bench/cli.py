@@ -260,15 +260,13 @@ def run_perf(args) -> int:
         if len(names) != 1:
             raise SystemExit("golden check/write needs exactly one "
                              "--scenario")
-        if args.profile or args.no_oracle or args.compare or args.out \
-                or args.require_compiled_speedup:
+        if args.profile or args.no_oracle or args.compare or args.out:
             raise SystemExit(
                 "--check-golden/--write-golden run a single gating "
                 "measurement; they cannot be combined with --profile, "
-                "--no-oracle, --compare, --out or "
-                "--require-compiled-speedup")
-        record = perf.run_scenario(names[0], args.variant)
-        print(f"{names[0]} [{args.variant}]: {record.events} events in "
+                "--no-oracle, --compare or --out")
+        record = perf.run_scenario(names[0])
+        print(f"{names[0]}: {record.events} events in "
               f"{record.wall_s:.3f}s = {record.events_per_sec:.0f} "
               "events/s (wall-clock reported, not gated)")
         if args.write_golden:
@@ -305,17 +303,6 @@ def run_perf(args) -> int:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
     print(perf.render_report(payload))
-    if args.require_compiled_speedup:
-        for spec in args.require_compiled_speedup:
-            name, _, ratio = spec.partition(":")
-            try:
-                got = perf.require_compiled_at_least(
-                    payload, name, float(ratio) if ratio else 1.0)
-            except perf.PerfError as exc:
-                print(f"FAIL: {exc}", file=sys.stderr)
-                return 1
-            print(f"compiled-speedup gate OK: {name} at {got:.3f}x "
-                  "the interpreted events/sec")
     path = perf.save_payload(payload, out_dir=args.out)
     print(f"\nartifact: {path}")
     return 0
@@ -404,17 +391,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                  "(exit 1 on drift)")
     perf_group.add_argument("--write-golden", default=None, metavar="FILE",
                             help="write the golden file for one scenario")
-    perf_group.add_argument("--variant", default="fast",
-                            choices=("fast", "compiled"),
-                            help="execution variant for golden check/write "
-                                 "(compiled must match the same golden — "
-                                 "the compiler is bit-identical)")
-    perf_group.add_argument("--require-compiled-speedup", action="append",
-                            default=None, metavar="NAME[:RATIO]",
-                            help="after the suite, exit 1 unless the "
-                                 "compiled leg of NAME reached at least "
-                                 "RATIO (default 1.0) x the interpreted "
-                                 "events/sec (repeatable)")
     args = parser.parse_args(argv)
     if args.figure == "perf":
         return run_perf(args)

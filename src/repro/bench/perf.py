@@ -16,9 +16,7 @@ Three kinds of output:
   mailbox, dict-based network) and the virtual-time results (final
   times, per-rank finish times, message counts, per-rank values
   including stream statistics) must be *bit-identical*; ``bench perf``
-  fails loudly otherwise.  Fault-free scenarios additionally run a
-  **compiled** leg (:mod:`repro.compile` plan compiler) held to the
-  same bit-identity bar against the fast path.
+  fails loudly otherwise.
 * **golden gating** — ``--check-golden`` compares a scenario's
   virtual-time results against a committed golden file; CI runs the
   quickstart scenario this way so a change that silently perturbs
@@ -334,7 +332,7 @@ class PerfRecord:
     """One (scenario, variant) measurement."""
 
     scenario: str
-    variant: str                   # "fast" | "oracle" | "compiled"
+    variant: str                   # "fast" | "oracle"
     wall_s: float
     events: int
     events_per_sec: float
@@ -379,7 +377,6 @@ def _clear_memos() -> None:
     from ..cosim import coupling as cosim_coupling
     from ..faults import apps as fault_apps
     from ..simmpi import topology
-    from ..compile import executor as compile_executor
     from ..mpistream import channel as mp_channel
     mr_common._rank_file_memo.clear()
     mr_common._chunk_sketch_memo.clear()
@@ -389,7 +386,6 @@ def _clear_memos() -> None:
     cosim_coupling._compile_memo.clear()
     topology._best_dims.cache_clear()
     topology._divisors.cache_clear()
-    compile_executor._exe_memo.clear()
     mp_channel._peers_cache.clear()
 
 
@@ -445,16 +441,10 @@ def run_scenario(name: str, variant: str = "fast",
     if scenario is None:
         raise PerfError(f"unknown scenario {name!r}; "
                         f"choose from {sorted(SCENARIOS)}")
-    if variant not in ("fast", "oracle", "compiled"):
+    if variant not in ("fast", "oracle"):
         raise PerfError(f"unknown variant {variant!r}")
     fn, args, machine = scenario.build()
     kwargs = _slow_path_kwargs(scenario) if variant == "oracle" else {}
-    if variant == "compiled":
-        if scenario.faults is not None:
-            raise PerfError(
-                f"scenario {name!r} injects faults; the plan compiler "
-                "bypasses itself there — no compiled leg to measure")
-        kwargs["compile"] = True
     if scenario.faults is not None:
         kwargs["faults"] = scenario.faults
     wall = None
@@ -545,50 +535,6 @@ def verify_against_oracle(name: str, repeats: int = 1,
     return fast, oracle
 
 
-#: virtual-time fields two legs of one scenario must agree on
-_IDENTITY_FIELDS = ("virtual_elapsed", "events", "messages", "bytes",
-                    "digest")
-
-
-def verify_compiled(name: str, fast: PerfRecord, repeats: int = 1,
-                    isolate: bool = False) -> PerfRecord:
-    """Run the compiled leg; raise unless its virtual-time results are
-    bit-identical to the already-measured fast (interpreted) leg."""
-    compiled = run_scenario(name, "compiled", repeats=repeats,
-                            isolate=isolate)
-    mismatches = [
-        f"{field_}: compiled={getattr(compiled, field_)!r} "
-        f"interpreted={getattr(fast, field_)!r}"
-        for field_ in _IDENTITY_FIELDS
-        if getattr(compiled, field_) != getattr(fast, field_)
-    ]
-    if mismatches:
-        raise PerfError(
-            f"scenario {name!r}: compiled execution diverged from the "
-            f"interpreted fast path — " + "; ".join(mismatches))
-    return compiled
-
-
-def require_compiled_at_least(payload: Dict[str, Any], name: str,
-                              ratio: float = 1.0) -> float:
-    """Gate: the payload's compiled leg of ``name`` must reach at least
-    ``ratio`` × the interpreted events/sec.  Returns the achieved
-    ratio; raises :class:`PerfError` below the bar (CI uses this on
-    fig5-256 so the compiler can never regress below the interpreter).
-    """
-    entry = payload.get("scenarios", {}).get(name)
-    if not entry or "compiled" not in entry or "fast" not in entry:
-        raise PerfError(
-            f"payload has no compiled+fast legs for scenario {name!r}")
-    got = entry["compiled"]["events_per_sec"] / \
-        entry["fast"]["events_per_sec"]
-    if got < ratio:
-        raise PerfError(
-            f"compiled leg of {name!r} reached only {got:.3f}x the "
-            f"interpreted events/sec (required >= {ratio:.3f}x)")
-    return got
-
-
 # ----------------------------------------------------------------------
 # layered profiling (--profile)
 # ----------------------------------------------------------------------
@@ -602,7 +548,6 @@ _LAYERS = (
     ("simmpi/collectives", "collectives"),
     ("simmpi/", "simmpi-other"),
     ("mpistream/", "mpistream"),
-    ("repro/compile/", "compile"),
     ("repro/api/", "api"),
     ("repro/core/", "core"),
     ("repro/apps/", "apps"),
@@ -618,24 +563,19 @@ def _layer_of(path: str) -> str:
     return "other"
 
 
-def profile_scenario(name: str, top_n: int = 12,
-                     variant: str = "fast") -> Dict[str, Any]:
+def profile_scenario(name: str, top_n: int = 12) -> Dict[str, Any]:
     """cProfile one run; return per-layer totals and the top-N
-    functions per layer by internal time.  ``variant="compiled"``
-    profiles the plan-compiler execution, attributing time to the
-    ``compile`` layer (passes, cursors, fused driver) alongside the
-    engine and network layers."""
+    functions per layer by internal time."""
     import cProfile
     import pstats
 
     scenario = SCENARIOS[name]
     fn, args, machine = scenario.build()
-    kwargs = {"compile": True} if variant == "compiled" else {}
     _clear_memos()
     gc.collect()
     profiler = cProfile.Profile()
     profiler.enable()
-    run(fn, scenario.nprocs, args=args, machine=machine, **kwargs)
+    run(fn, scenario.nprocs, args=args, machine=machine)
     profiler.disable()
     stats = pstats.Stats(profiler)
     layers: Dict[str, float] = {}
@@ -722,13 +662,6 @@ def run_suite(names: Optional[List[str]] = None,
             fast = run_scenario(name, "fast", repeats=repeats,
                                 isolate=True)
             entry["fast"] = fast.to_json()
-        if SCENARIOS[name].faults is None:
-            compiled = verify_compiled(name, fast, repeats=repeats,
-                                       isolate=True)
-            entry["compiled"] = compiled.to_json()
-            entry["compiled_identical"] = True
-            entry["speedup_compiled_vs_fast"] = round(
-                compiled.events_per_sec / fast.events_per_sec, 3)
         if compare is not None:
             before = (compare.get("scenarios", {}).get(name, {})
                       .get("fast", compare.get("scenarios", {})
@@ -738,15 +671,8 @@ def run_suite(names: Optional[List[str]] = None,
                 if before.get("events_per_sec"):
                     entry["speedup_vs_before"] = round(
                         fast.events_per_sec / before["events_per_sec"], 3)
-                    if "compiled" in entry:
-                        entry["speedup_compiled_vs_before"] = round(
-                            entry["compiled"]["events_per_sec"]
-                            / before["events_per_sec"], 3)
         if profile:
             entry["profile"] = profile_scenario(name)
-            if "compiled" in entry:
-                entry["profile_compiled"] = profile_scenario(
-                    name, variant="compiled")
         payload["scenarios"][name] = entry
     return payload
 
@@ -814,17 +740,13 @@ def render_report(payload: Dict[str, Any]) -> str:
               f"{'wall (s)':>9} | {'events/s':>10} | {'speedup':>8}")
     lines += [header, "-" * 74]
     for name, entry in payload["scenarios"].items():
-        for variant in ("before", "oracle", "fast", "compiled"):
+        for variant in ("before", "oracle", "fast"):
             rec = entry.get(variant)
             if not rec:
                 continue
             if variant == "fast":
                 speedup = (entry.get("speedup_vs_before")
                            or entry.get("speedup_vs_oracle"))
-                tag = f"{speedup:>7.2f}x" if speedup else f"{'':>8}"
-            elif variant == "compiled":
-                speedup = (entry.get("speedup_compiled_vs_before")
-                           or entry.get("speedup_compiled_vs_fast"))
                 tag = f"{speedup:>7.2f}x" if speedup else f"{'':>8}"
             else:
                 tag = f"{'':>8}"
@@ -835,16 +757,11 @@ def render_report(payload: Dict[str, Any]) -> str:
         if entry.get("oracle_identical"):
             lines.append(f"{'':>12} |   virtual-time results bit-identical "
                          "to the slow-path oracle")
-        if entry.get("compiled_identical"):
-            lines.append(f"{'':>12} |   compiled execution bit-identical "
-                         "to the interpreted fast path")
-        for key, label in (("profile", "profile"),
-                           ("profile_compiled", "profile(compiled)")):
-            prof = entry.get(key)
-            if prof:
-                layers = ", ".join(f"{k}={v:.3f}s"
-                                   for k, v in prof["layers_s"].items()
-                                   if v >= 0.01)
-                lines.append(f"{'':>12} |   {label}: {layers}")
+        prof = entry.get("profile")
+        if prof:
+            layers = ", ".join(f"{k}={v:.3f}s"
+                               for k, v in prof["layers_s"].items()
+                               if v >= 0.01)
+            lines.append(f"{'':>12} |   profile: {layers}")
     lines.append("-" * 74)
     return "\n".join(lines)

@@ -23,6 +23,7 @@ from .categories import (
 from .groups import DecouplingPlan, Flow, GroupSpec, PlanError
 from .model import (
     BetaModel,
+    auto_size_plan,
     conventional_time,
     decoupled_time_beta,
     decoupled_time_full,
@@ -38,8 +39,8 @@ __all__ = [
     "AlphaController", "BetaModel", "CATEGORY_NAMES", "DecouplingPlan",
     "EpochMeasurement", "Flow", "GranularityController", "GroupContext",
     "GroupSpec", "OperationProfile", "PAPER_PROFILES", "PlanError",
-    "SuitabilityReport", "conventional_baseline", "conventional_time",
-    "decoupled_time_beta", "decoupled_time_full",
+    "SuitabilityReport", "auto_size_plan", "conventional_baseline",
+    "conventional_time", "decoupled_time_beta", "decoupled_time_full",
     "decoupled_time_overlap", "epoch_from_trace", "optimal_alpha",
     "optimal_granularity", "predicted_sigma", "rank_operations",
     "run_decoupled", "score_operation", "speedup",

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+from .groups import DecouplingPlan
 
 
 def conventional_time(t_w0: float, t_w1: float, t_sigma: float) -> float:
@@ -208,6 +210,113 @@ def predicted_sigma(per_op_time: float, nprocs: int,
         return per_op_time * quantum_fraction
     max_factor = math.exp(persistent_skew * math.sqrt(2.0 * math.log(nprocs)))
     return per_op_time * (max_factor * (1.0 + quantum_fraction) - 1.0)
+
+
+# ----------------------------------------------------------------------
+# model-driven group sizing
+# ----------------------------------------------------------------------
+
+def _distribute(total: int, stages, weights: Dict[str, float]
+                ) -> Dict[str, int]:
+    """Split ``total`` ranks over ``stages`` proportional to ``weights``,
+    every stage >= 1, remainder to the heaviest stage."""
+    names = [s.name for s in stages]
+    wsum = sum(weights[n] for n in names)
+    sizes = {n: max(1, int(round(total * weights[n] / wsum))) for n in names}
+    heaviest = max(names, key=lambda n: weights[n])
+    sizes[heaviest] += total - sum(sizes.values())
+    return sizes
+
+
+def auto_size_plan(graph, plan: DecouplingPlan, machine=None,
+                   granularity: Optional[float] = None
+                   ) -> Tuple[DecouplingPlan, List[str]]:
+    """Re-size ``plan``'s groups at Eq. 2's balance point.
+
+    The paper hand-sets alpha; this derives it from a model instead.
+    Each stage of ``graph`` (a :class:`~repro.api.graph.StreamGraph`)
+    declares ``work=``, its nominal seconds if the whole machine ran
+    it.  Pure consumers are the helper side (T'_W1), every other stage
+    the compute side (T_W0), and :func:`optimal_alpha` solves
+
+        T_W0 / (1 - alpha) + T_sigma = T'_W1 / alpha
+
+    with T_sigma from ``machine``'s noise model (:func:`predicted_sigma`,
+    zero without a machine).  A stream ``granularity`` S in bytes
+    scales the helper-side work by :class:`BetaModel` beta(S).
+
+    Returns ``(resized_plan, notes)``: the first note is the ``alpha*``
+    line, then one line per resized group.  When sizing does not apply
+    (a stage pins ``size=`` or lacks ``work=``, no producer/consumer
+    split exists, or the rounding cannot place every stage) it returns
+    ``plan`` itself and the reason.  Run a resized plan through
+    ``CompiledGraph(graph, resized_plan)``; it changes simulated
+    results by design.
+    """
+    stages = graph.stages
+    nprocs = plan.total_procs
+
+    pinned = [s.name for s in stages if s.size is not None]
+    if pinned:
+        return plan, [f"skipped: stage(s) {pinned} pin explicit sizes"]
+    missing = [s.name for s in stages if s.work is None]
+    if missing:
+        return plan, [f"skipped: stage(s) {missing} declare no work= hint"]
+
+    helpers = [s for s in stages
+               if not graph.flows_out(s.name) and graph.flows_in(s.name)]
+    producers = [s for s in stages if s not in helpers]
+    if not helpers or not producers:
+        return plan, ["skipped: need at least one pure-consumer stage and "
+                      "one producing stage to decouple"]
+
+    t_w0 = sum(s.work for s in producers)
+    t_w1 = sum(s.work for s in helpers)
+    t_sigma = 0.0
+    if machine is not None:
+        noise = machine.noise
+        t_sigma = predicted_sigma(t_w0, nprocs, noise.persistent_skew,
+                                  noise.quantum_fraction)
+    beta_factor = BetaModel()(granularity) if granularity is not None else 1.0
+    t_w1_eff = t_w1 * beta_factor
+
+    lo = len(helpers) / nprocs
+    hi = 1.0 - len(producers) / nprocs
+    if lo >= hi:
+        return plan, [f"skipped: {nprocs} processes cannot host "
+                      f"{len(stages)} stages with a free alpha"]
+    alpha = optimal_alpha(t_w0, t_sigma, lambda a: t_w1_eff,
+                          lo=max(lo, 1e-3), hi=min(hi, 1.0 - 1e-3))
+    alpha = min(max(alpha, lo), hi)
+
+    n_helper = min(max(len(helpers), int(round(alpha * nprocs))),
+                   nprocs - len(producers))
+    weights = {s.name: s.effective_fraction(nprocs) for s in stages}
+    sizes = _distribute(n_helper, helpers, weights)
+    sizes.update(_distribute(nprocs - n_helper, producers, weights))
+    if min(sizes.values()) < 1:
+        return plan, ["skipped: proportional rounding could not place "
+                      "every stage"]
+
+    resized = DecouplingPlan(nprocs)
+    for name in plan.groups:
+        resized.add_group(name, size=sizes[name])
+    for op, group in plan.operations.items():
+        resized.map_operation(op, group)
+    for f in plan.flows:
+        resized.add_flow(f.name, f.src, f.dst)
+    resized.validate()
+
+    notes = [
+        f"alpha* = {alpha:.4f} (T_W0={t_w0:.3g}s, T'_W1={t_w1_eff:.3g}s"
+        + (f" = {t_w1:.3g}s x beta {beta_factor:.3f}"
+           if beta_factor != 1.0 else "")
+        + f", T_sigma={t_sigma:.3g}s) -> {n_helper}/{nprocs} helper ranks"]
+    notes += [f"{name}: resized {plan.groups[name].size} -> "
+              f"{sizes[name]} ranks"
+              for name in plan.groups
+              if sizes[name] != plan.groups[name].size]
+    return resized, notes
 
 
 # ----------------------------------------------------------------------

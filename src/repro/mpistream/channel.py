@@ -36,9 +36,9 @@ except ImportError:  # pragma: no cover - numpy is baked into the image
 DENSE_PEERS = 256
 
 #: blocked-routing tables keyed (nproducers, nconsumers) — shared by
-#: every channel of the same shape and by the plan compiler's schedule
-#: emission pass (repro.compile.passes), so runtime and compiler can
-#: never disagree on the assignment
+#: every channel of the same shape and read by ``Simulation.explain``
+#: for its fan-in lines, so the report cannot disagree with the
+#: assignment the channels execute
 _peers_cache: dict = {}
 
 

@@ -114,11 +114,6 @@ class Stream:
         # on noise-free machines the per-element injection delay is one
         # constant — prebuild the syscall object (lazily, see isend)
         self._inject_delay = None
-        # compiled mode (repro.compile): bind a static send schedule
-        # when the run opted in and this stream is representable; the
-        # binder returns None otherwise and isend stays interpreted
-        binder = channel.comm.world._stream_compiler
-        self._cursor = binder(self) if binder is not None else None
         # consumer-side bookkeeping
         if channel.is_consumer:
             ci = channel.consumer_index
@@ -150,12 +145,6 @@ class Stream:
         ``window`` elements are ever pending (bounded buffering,
         Section II-D's memory argument).
         """
-        cur = self._cursor
-        if cur is not None:
-            # compiled mode: one Segment syscall replays the element's
-            # whole event sequence (cursor.load validates freed/term)
-            yield cur.load(data)
-            return
         channel = self.channel
         if channel.freed:
             channel.check_alive()

@@ -161,11 +161,6 @@ class World:
         # plan carries Slowdown windows.
         self._fault_ctl = None
         self._compute_fast = self._noise_free and tracer is None
-        # plan-compiler hooks (repro.compile): the launcher installs the
-        # resolved CompileOptions and the stream-schedule binder when a
-        # run opts into compiled mode; None keeps every path interpreted
-        self._compile_opts = None
-        self._stream_compiler = None
         # compute charges are immutable to the engine; deterministic
         # compute() durations repeat heavily (per-file map costs,
         # per-element merge costs), so share them

@@ -118,33 +118,6 @@ class Spawn:
         self.daemon = daemon
 
 
-class Segment:
-    """Syscall: hand the process's next events to a precompiled schedule
-    cursor (the engine's batch-drain mode, see DESIGN.md §15).
-
-    ``start(engine, proc)`` is installed by the issuer (a schedule
-    cursor from :mod:`repro.compile.schedule`).  It may push events
-    whose callbacks advance the cursor directly — each still one heap
-    event, fired and counted exactly like every other event, but
-    serviced without re-entering the process generator or the syscall
-    dispatcher.  Return True to leave the process suspended (the cursor
-    resumes it via ``engine._step(proc, None)`` when the segment
-    completes) or False to continue the process synchronously.
-
-    The contract that keeps runs bit-identical: a segment must push the
-    same events, at the same times, at the same points in the event
-    sequence, as the generator syscalls it replaces would have.
-    """
-
-    __slots__ = ("start",)
-
-    def __init__(self, start: Callable[["Engine", "_Process"], bool]):
-        self.start = start
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Segment({self.start!r})"
-
-
 # Heap entries are plain (time, seq, callback) tuples: the unique ``seq``
 # tiebreaker guarantees the callback is never compared, and C-level tuple
 # comparison is ~3x faster than a dataclass __lt__ in the hot heappop path.
@@ -395,20 +368,12 @@ class Engine:
                 proc.blocked_on = cmd
                 flag._waiters.append(proc)
                 return
-            if cls is Segment:
-                # batch-drain hand-off: the cursor services the
-                # segment's events without generator round-trips
-                if cmd.start(self, proc):
-                    proc.blocked_on = cmd
-                    return
-                sendval = None
-                continue
             if cls is Spawn:
                 sendval = self.spawn(cmd.gen, cmd.name, daemon=cmd.daemon)
                 continue
             raise TypeError(
                 f"process {proc.handle.name!r} yielded unsupported syscall "
-                f"{cmd!r}; expected Delay/WaitFlag/Spawn/Segment"
+                f"{cmd!r}; expected Delay/WaitFlag/Spawn"
             )
 
     def run(self) -> float:

@@ -53,6 +53,11 @@ class PlacementError(SimMPIError):
     unplaced, unknown policy names, out-of-range lookups."""
 
 
+class OracleConfigError(SimMPIError):
+    """A machine the seed-era :class:`~repro.simmpi.oracle.OracleNetwork`
+    cannot time: it models only the flat fabric under block placement."""
+
+
 class IOError_(SimMPIError):
     """MPI-IO failure (file not opened, bad view, write on read-only...)."""
 

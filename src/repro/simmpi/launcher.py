@@ -65,7 +65,6 @@ def run(fn: Callable, nprocs: int,
         topology=None,
         placement=None,
         faults=None,
-        compile=None,
         engine_factory: Optional[Callable[[], Engine]] = None,
         mailbox_factory: Optional[Callable] = None,
         network_factory: Optional[Callable] = None) -> SimResult:
@@ -103,14 +102,6 @@ def run(fn: Callable, nprocs: int,
         ``None`` in ``values`` and their crash time in
         ``finish_times``; ``extras["faults"]`` summarizes what happened.
         Incompatible with the oracle's ``engine_factory`` injection.
-    compile:
-        Opt into the plan compiler (:mod:`repro.compile`): ``True``,
-        a ``CompileOptions`` or its dict form.  Installs the compiled
-        execution hooks on the world — graph executions take the fused
-        driver and eligible streams send through engine schedule
-        segments, bit-identical to the interpreted path.  Silently
-        bypassed under fault injection or oracle slow-path injection
-        (both need the interpreted generator layering).
     engine_factory / mailbox_factory / network_factory:
         Implementation injection, used by ``bench perf`` to run the
         :mod:`repro.simmpi.oracle` slow path (pass
@@ -162,15 +153,6 @@ def run(fn: Callable, nprocs: int,
         if ctl.has_slowdowns:
             # straggler windows must see every compute charge
             world._compute_fast = False
-
-    if compile is not None and compile is not False and plan is None \
-            and engine_factory is None and mailbox_factory is None \
-            and network_factory is None:
-        # lazy import: repro.compile sits above simmpi in the layering
-        from ..compile.options import resolve_options
-        from ..compile.schedule import bind_send_cursor
-        world._compile_opts = resolve_options(compile)
-        world._stream_compiler = bind_send_cursor
 
     handles = []
     world_ranks = tuple(range(nprocs))

@@ -44,8 +44,10 @@ from .engine import (
     _Process,
     format_label,
 )
+from .errors import OracleConfigError
 from .matching import LinearMailbox  # noqa: F401  (re-export)
 from .network import TransferTiming
+from .placement import BlockPlacement
 
 
 class OracleEngine(Engine):
@@ -149,10 +151,25 @@ class OracleEngine(Engine):
 
 
 class OracleNetwork:
-    """The seed network model: dict NIC timelines, per-call config digs."""
+    """The seed network model: dict NIC timelines, per-call config digs.
+
+    It predates fabrics and placement policies, so it refuses a machine
+    whose topology is not flat or whose placement is not block rather
+    than silently timing a different machine.
+    """
 
     def __init__(self, config: MachineConfig, nranks: int):
         import math
+        if config.topology.kind != "flat":
+            raise OracleConfigError(
+                f"OracleNetwork models the flat fabric only, not "
+                f"{config.topology.kind!r}; inject only the engine and "
+                "mailbox oracles to keep the machine's fabric")
+        if config.placement is not None \
+                and not isinstance(config.placement, BlockPlacement):
+            raise OracleConfigError(
+                f"OracleNetwork maps ranks to nodes by block placement "
+                f"only, not {config.placement.name!r}")
         self.config = config
         self.nranks = nranks
         self._tx_free: Dict[int, float] = {}

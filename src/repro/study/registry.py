@@ -68,16 +68,14 @@ MACHINE_FACTORIES: Dict[str, Callable[[], MachineConfig]] = {
 #: placement policies whose group blocks come from a compiled plan
 _PLAN_POLICIES = ("colocated", "partitioned")
 
-#: keys a machine spec may carry.  "faults", "cosim" and "compile" are
-#: not part of the MachineConfig — faults resolve to a FaultPlan handed
-#: to the launcher, cosim to a HubSpec handed to the app's worker, and
-#: compile to CompileOptions handed to the launcher — but riding in the
-#: machine spec means every cache key incorporates the fault scenario,
-#: coupling spec and compiler options automatically (the spec is hashed
+#: keys a machine spec may carry.  "faults" and "cosim" are not part of
+#: the MachineConfig — faults resolve to a FaultPlan handed to the
+#: launcher, cosim to a HubSpec handed to the app's worker — but riding
+#: in the machine spec means every cache key incorporates the fault
+#: scenario and coupling spec automatically (the spec is hashed
 #: verbatim).
 _MACHINE_KEYS = ("preset", "config", "noise", "topology", "placement",
-                 "ranks_per_node", "compute_speed", "faults", "cosim",
-                 "compile")
+                 "ranks_per_node", "compute_speed", "faults", "cosim")
 
 
 # ----------------------------------------------------------------------
@@ -326,13 +324,6 @@ def validate_machine_spec(spec: Optional[Dict[str, Any]],
             resolve_hub(cosim)
         except CosimError as exc:
             raise StudyError(f"machine spec cosim: {exc}") from exc
-    compile_ = spec.get("compile")
-    if compile_ is not None:
-        from ..compile.options import resolve_options
-        try:
-            resolve_options(compile_)
-        except ValueError as exc:
-            raise StudyError(f"machine spec compile: {exc}") from exc
     placement = spec.get("placement")
     if placement is not None:
         if not isinstance(placement, dict):
@@ -358,7 +349,6 @@ def build_machine(spec: Optional[Dict[str, Any]], app: AppSpec,
     validate_machine_spec(spec, app)
     spec.pop("faults", None)   # launcher concern, not a MachineConfig field
     spec.pop("cosim", None)    # worker concern, not a MachineConfig field
-    spec.pop("compile", None)  # launcher concern (CompileOptions)
     if "config" in spec:
         base = MachineConfig.from_json(spec["config"])
     else:

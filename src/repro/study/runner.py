@@ -80,10 +80,10 @@ def execute_job(job: Dict[str, Any]) -> Dict[str, Any]:
     cfg = build_config(app, job["nprocs"], job.get("params", {}))
     machine_spec = job.get("machine") or {}
     machine = build_machine(machine_spec, app, cfg)
-    # the machine spec's "faults", "cosim" and "compile" sub-keys are
-    # launcher / worker / launcher input respectively, not MachineConfig
-    # fields — but riding in the spec puts the fault scenario, coupling
-    # spec and compiler options into every cache key
+    # the machine spec's "faults" and "cosim" sub-keys are launcher and
+    # worker input respectively, not MachineConfig fields — but riding
+    # in the spec puts the fault scenario and coupling spec into every
+    # cache key
     faults = machine_spec.get("faults")
     extra = ()
     cosim = machine_spec.get("cosim")
@@ -93,7 +93,7 @@ def execute_job(job: Dict[str, Any]) -> Dict[str, Any]:
     _SIMULATIONS_EXECUTED += 1
     sim = run(app.worker, job["nprocs"],
               args=(cfg, *extra, *job.get("args", ())), machine=machine,
-              faults=faults, compile=machine_spec.get("compile"))
+              faults=faults)
     return {
         "value": apply_extract(job["extract"], sim),
         "sim": {"elapsed": sim.elapsed, "messages": sim.messages,

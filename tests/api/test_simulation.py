@@ -118,6 +118,51 @@ def test_compiled_graph_size_mismatch_rejected():
     compiled = _quickstart_graph().compile(NPROCS)
     with pytest.raises(GraphError, match="compiled for"):
         Simulation(NPROCS * 2).run(compiled)
+    with pytest.raises(GraphError, match="compiled for"):
+        Simulation(NPROCS * 2).explain(compiled)
+
+
+# ----------------------------------------------------------------------
+# explain
+# ----------------------------------------------------------------------
+
+def _noop_body(ctx):
+    yield from ()   # explain() never runs stage bodies
+
+
+def test_explain_lists_groups_flows_and_the_sizing_line():
+    graph = (StreamGraph("sized")
+             .stage("compute", fraction=15 / 16, body=_noop_body,
+                    work=0.9)
+             .stage("analyze", fraction=1 / 16, work=0.1)
+             .flow("samples", src="compute", dst="analyze",
+                   operator=RunningStats))
+    lines = Simulation(NPROCS, machine="beskow").explain(graph).splitlines()
+    assert lines[0] == "'sized' on 16 procs, machine 'beskow-xc40'"
+    assert lines[1] == "  group compute: ranks 0..14, size 15"
+    assert lines[2] == "  group analyze: ranks 15..15, size 1"
+    assert lines[3] == ("  flow samples: compute -> analyze, fan-in 15 "
+                        "per consumer, blocked routing, window 64")
+    assert lines[4].startswith("  sizing: alpha* = ")
+    assert lines[4].endswith("-> 2/16 helper ranks")
+
+
+def test_explain_renders_uneven_fan_in_routers_and_checkpoints():
+    from repro.faults import Checkpoint
+    graph = (StreamGraph("flows")
+             .stage("src", size=5, body=_noop_body)
+             .stage("dst", size=3)
+             .flow("blocked", "src", "dst", operator=RunningStats,
+                   window=4, checkpoint=Checkpoint(interval=8))
+             .flow("routed", "src", "dst", operator=RunningStats,
+                   router=lambda pi, seq, data: seq))
+    text = Simulation(8).explain(graph)
+    assert ("  flow blocked: src -> dst, fan-in 1..2 per consumer, "
+            "blocked routing, window 4, checkpoint every 8 elements") in text
+    assert ("  flow routed: src -> dst, per-element routing, "
+            "window 64") in text
+    assert "  sizing: skipped: stage(s) ['src', 'dst'] pin explicit sizes" \
+        in text
 
 
 # ----------------------------------------------------------------------

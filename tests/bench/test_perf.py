@@ -179,88 +179,6 @@ def test_profile_layers():
     assert all(len(v) <= 3 for v in prof["top"].values())
 
 
-# ----------------------------------------------------------------------
-# the compiled leg (plan compiler)
-# ----------------------------------------------------------------------
-
-def test_compiled_variant_bit_identical_to_interpreted():
-    fast = perf.run_scenario("quickstart", "fast")
-    compiled = perf.verify_compiled("quickstart", fast)
-    assert compiled.variant == "compiled"
-    assert compiled.digest == fast.digest
-    assert compiled.virtual_elapsed == fast.virtual_elapsed
-    assert compiled.events == fast.events
-
-
-def test_compiled_variant_rejected_for_fault_scenarios():
-    with pytest.raises(perf.PerfError, match="bypasses itself"):
-        perf.run_scenario("fault-recovery", "compiled")
-
-
-def test_verify_compiled_raises_on_divergence():
-    fast = perf.run_scenario("quickstart", "fast")
-    forged = perf.PerfRecord(**{**fast.__dict__, "digest": "0" * 64})
-    with pytest.raises(perf.PerfError, match="diverged from the"):
-        perf.verify_compiled("quickstart", forged)
-
-
-def test_require_compiled_speedup_gate():
-    payload = {"scenarios": {"s": {
-        "fast": {"events_per_sec": 100.0},
-        "compiled": {"events_per_sec": 150.0}}}}
-    assert perf.require_compiled_at_least(payload, "s") == \
-        pytest.approx(1.5)
-    with pytest.raises(perf.PerfError, match="reached only"):
-        perf.require_compiled_at_least(payload, "s", ratio=2.0)
-    with pytest.raises(perf.PerfError, match="no compiled\\+fast legs"):
-        perf.require_compiled_at_least(payload, "nope")
-
-
-def test_suite_carries_the_compiled_leg():
-    payload = perf.run_suite(["quickstart"], check_oracle=False, repeats=1)
-    entry = payload["scenarios"]["quickstart"]
-    assert entry["compiled_identical"] is True
-    assert entry["compiled"]["events_per_sec"] > 0
-    assert entry["speedup_compiled_vs_fast"] > 0
-    report = perf.render_report(payload)
-    assert "compiled" in report
-    assert "bit-identical" in report
-
-
-def test_fault_scenarios_skip_the_compiled_leg():
-    payload = perf.run_suite(["fault-recovery"], check_oracle=False,
-                             repeats=1)
-    entry = payload["scenarios"]["fault-recovery"]
-    assert "compiled" not in entry
-
-
-def test_committed_quickstart_golden_matches_compiled():
-    """CI's compiled perf-smoke gate, run as a unit test too: the
-    compiled leg must reproduce the committed interpreted golden."""
-    golden = os.path.join(os.path.dirname(__file__), "..", "..",
-                          "benchmarks", "golden", "quickstart_perf.json")
-    rec = perf.run_scenario("quickstart", "compiled")
-    perf.check_golden(rec, golden)
-
-
-def test_profile_attributes_the_compile_layer():
-    prof = perf.profile_scenario("quickstart", top_n=3,
-                                 variant="compiled")
-    assert prof["total_s"] > 0
-    assert "compile" in prof["layers_s"]
-
-
-def test_cli_compiled_variant_and_speedup_gate(tmp_path, capsys):
-    golden = str(tmp_path / "g.json")
-    assert cli_main(["perf", "--scenario", "quickstart",
-                     "--write-golden", golden]) == 0
-    assert cli_main(["perf", "--scenario", "quickstart",
-                     "--variant", "compiled",
-                     "--check-golden", golden]) == 0
-    out = capsys.readouterr().out
-    assert "[compiled]" in out
-
-
 def test_golden_scenarios_scans_committed_files():
     golden = perf.golden_scenarios()
     assert golden["quickstart"] == "quickstart_perf.json"

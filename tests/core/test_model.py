@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import StreamGraph
 from repro.core.model import (
     BetaModel,
+    auto_size_plan,
     conventional_time,
     decoupled_time_beta,
     decoupled_time_full,
@@ -15,6 +17,8 @@ from repro.core.model import (
     predicted_sigma,
     speedup,
 )
+from repro.mpistream import RunningStats
+from repro.simmpi import quiet_testbed
 
 pos = st.floats(min_value=1e-3, max_value=1e3,
                 allow_nan=False, allow_infinity=False)
@@ -207,3 +211,74 @@ def test_property_eq2_lower_bounds_eq3(alpha, t_w0, t_w1):
     eq2 = decoupled_time_overlap(t_w0, 0.0, t_w1, alpha)
     eq3 = decoupled_time_beta(t_w0, 0.0, t_w1, alpha, beta=1.0)
     assert eq2 <= eq3 + 1e-9
+
+
+# ----------------------------------------------------------------------
+# auto_size_plan: Eq. 2 helper-group sizing
+# ----------------------------------------------------------------------
+
+def _sizing_body(ctx):
+    with ctx.producer("f") as out:
+        for _ in range(4):
+            yield from ctx.compute(0.01)
+            yield from out.send(1.0)
+
+
+def _sizable_graph(work_src=0.8, work_dst=0.2):
+    return (StreamGraph("sizable")
+            .stage("src", fraction=0.75, body=_sizing_body, work=work_src)
+            .stage("dst", fraction=0.25, work=work_dst)
+            .flow("f", "src", "dst", operator=RunningStats))
+
+
+def _sizes(plan):
+    return {n: g.size for n, g in plan.groups.items()}
+
+
+def test_auto_size_plan_resizes_at_the_balance_point():
+    g = _sizable_graph()
+    declared = g.compile(16).plan
+    plan, notes = auto_size_plan(g, declared, machine=quiet_testbed())
+    # 0.8 / (1 - a) = 0.2 / a at a = 0.2: round(3.2) = 3 helper ranks
+    assert _sizes(plan) == {"src": 13, "dst": 3}
+    assert notes[0].startswith("alpha* = 0.2000")
+    assert notes[0].endswith("3/16 helper ranks")
+    assert notes[1:] == ["src: resized 12 -> 13 ranks",
+                         "dst: resized 4 -> 3 ranks"]
+    # the input plan is left as declared; the copy keeps ops and flows
+    assert _sizes(declared) == {"src": 12, "dst": 4}
+    assert plan.operations == declared.operations
+    assert plan.flows == declared.flows
+    assert plan.group_of(15) == "dst"
+
+
+def test_auto_size_plan_skips_pinned_sizes():
+    g = (StreamGraph()
+         .stage("src", size=6, body=_sizing_body, work=1.0)
+         .stage("dst", size=2, work=0.3)
+         .flow("f", "src", "dst", operator=RunningStats))
+    declared = g.compile(8).plan
+    plan, notes = auto_size_plan(g, declared)
+    assert plan is declared
+    assert notes == ["skipped: stage(s) ['src', 'dst'] pin explicit sizes"]
+
+
+def test_auto_size_plan_skips_missing_work_hints():
+    g = (StreamGraph()
+         .stage("src", fraction=0.75, body=_sizing_body)
+         .stage("dst", fraction=0.25)
+         .flow("f", "src", "dst", operator=RunningStats))
+    declared = g.compile(8).plan
+    plan, notes = auto_size_plan(g, declared)
+    assert plan is declared
+    assert "no work= hint" in notes[0]
+
+
+def test_auto_size_plan_beta_scaling_enters_the_model():
+    g = _sizable_graph()
+    coarse, coarse_notes = auto_size_plan(g, g.compile(16).plan)
+    fine, fine_notes = auto_size_plan(g, g.compile(16).plan,
+                                      granularity=64.0)
+    # tiny elements pipeline well: beta(S) < 1 shrinks helper-side work
+    assert "x beta" in fine_notes[0] and "x beta" not in coarse_notes[0]
+    assert _sizes(fine)["dst"] < _sizes(coarse)["dst"]

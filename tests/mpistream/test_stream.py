@@ -10,6 +10,11 @@ from repro.mpistream import (
     attach,
     create_channel,
 )
+from repro.mpistream.channel import (
+    DENSE_PEERS,
+    blocked_fan_in,
+    blocked_peers,
+)
 from repro.simmpi import beskow, quiet_testbed, run
 from repro.simmpi.errors import CommunicatorError, RequestError
 
@@ -107,6 +112,19 @@ def test_multiple_consumers_blocked_routing():
     # blocked assignment: producers 0,1 -> consumer idx0; 2,3 -> idx1
     assert r.values[4] == [0, 1]
     assert r.values[5] == [2, 3]
+
+
+def test_blocked_peer_table_is_shared_and_dense_at_scale():
+    assert list(blocked_peers(6, 2)) == [0, 0, 0, 1, 1, 1]
+    assert list(blocked_fan_in(5, 3)) == [2, 2, 1]
+    table = blocked_peers(DENSE_PEERS, 4)
+    np = pytest.importorskip("numpy")
+    assert isinstance(table, np.ndarray)
+    # cached: same shape returns the same object
+    assert blocked_peers(DENSE_PEERS, 4) is table
+    # and agrees with the list form's formula
+    assert isinstance(blocked_peers(DENSE_PEERS - 1, 4), list)
+    assert int(table[100]) == 100 * 4 // DENSE_PEERS
 
 
 def test_custom_router_by_key():

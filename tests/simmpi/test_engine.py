@@ -576,67 +576,3 @@ def test_oracle_engine_kill_works_without_the_index():
     eng.run()
     assert victim.done
     assert victim.done_flag.time == pytest.approx(1.0)
-
-
-# ----------------------------------------------------------------------
-# Segment: the batch-drain syscall
-# ----------------------------------------------------------------------
-
-def test_segment_false_continues_synchronously():
-    from repro.simmpi.engine import Segment
-    eng = Engine()
-    calls = []
-
-    def starter(engine, proc):
-        calls.append(engine.now)
-        return False            # fully synchronous: no suspension
-
-    def proc():
-        yield Delay(1.0)
-        sent_back = yield Segment(starter)
-        assert sent_back is None
-        yield Delay(1.0)
-
-    eng.spawn(proc())
-    assert eng.run() == pytest.approx(2.0)
-    assert calls == [1.0]
-
-
-def test_segment_true_suspends_until_cursor_resumes():
-    from repro.simmpi.engine import Segment
-    eng = Engine()
-    trace = []
-
-    def starter(engine, proc):
-        # push one real event that later resumes the process — the
-        # schedule-cursor pattern (one heap event per logical event)
-        def fire():
-            trace.append(("fired", engine.now))
-            engine._step(proc, None)
-        engine.call_at(engine.now + 2.5, fire)
-        return True
-
-    def proc():
-        yield Delay(1.0)
-        yield Segment(starter)
-        trace.append(("resumed", eng.now))
-
-    eng.spawn(proc())
-    assert eng.run() == pytest.approx(3.5)
-    assert trace == [("fired", 3.5), ("resumed", 3.5)]
-
-
-def test_segment_suspension_shows_in_deadlock_diagnostics():
-    from repro.simmpi.engine import Segment
-    eng = Engine()
-
-    def starter(engine, proc):
-        return True             # suspend forever: nobody resumes us
-
-    def proc():
-        yield Segment(starter)
-
-    eng.spawn(proc(), name="batched")
-    with pytest.raises(DeadlockError) as ei:
-        eng.run()
-    assert "batched" in str(ei.value)

@@ -15,9 +15,10 @@ from repro.simmpi.config import (
     resolve_topology,
 )
 from repro.simmpi.fabrics import DragonflyFabric, FatTreeFabric
+from repro.simmpi.errors import OracleConfigError
 from repro.simmpi.network import Network, build_network
 from repro.simmpi.oracle import OracleNetwork
-from repro.simmpi.placement import RoundRobinPlacement
+from repro.simmpi.placement import BlockPlacement, RoundRobinPlacement
 
 
 def _machine(kind, **topo_kw):
@@ -101,6 +102,36 @@ def test_flat_fabric_matches_oracle_link_resolution():
     for src in range(0, 96, 7):
         for dst in range(0, 96, 11):
             assert fast._link(src, dst) == oracle._link(src, dst)
+
+
+def _pair_exchange(comm):
+    """Each rank swaps one message with the rank half the world away
+    (a different node under block placement)."""
+    peer = (comm.rank + comm.size // 2) % comm.size
+    req = yield from comm.isend(comm.rank, dest=peer, nbytes=4096)
+    yield from comm.recv(source=peer)
+    yield from comm.wait(req)
+    return comm.time
+
+
+@pytest.mark.parametrize("override, match", [
+    ({"topology": "fat_tree"}, "flat fabric only, not 'fat_tree'"),
+    ({"placement": "round_robin"}, "block placement only, not "
+                                   "'round_robin'"),
+], ids=["fat_tree", "round_robin"])
+def test_oracle_network_refuses_machines_it_cannot_model(override, match):
+    """The seed network times a flat, block-placed machine whatever the
+    config says, so it must refuse anything else instead of timing the
+    wrong machine."""
+    assert run(_pair_exchange, 64, **override).elapsed != \
+        run(_pair_exchange, 64).elapsed
+    with pytest.raises(OracleConfigError, match=match):
+        run(_pair_exchange, 64, network_factory=OracleNetwork, **override)
+    # the flat, block-placed machine it does model stays accepted
+    explicit_block = quiet_testbed().with_(placement=BlockPlacement())
+    assert run(_pair_exchange, 64, machine=explicit_block,
+               network_factory=OracleNetwork).elapsed == \
+        run(_pair_exchange, 64).elapsed
 
 
 # ----------------------------------------------------------------------

@@ -76,10 +76,11 @@ def test_unknown_machine_preset_rejected():
                         machine={"preset": "summit"})
 
 
-def test_unknown_machine_key_rejected():
-    with pytest.raises(StudyError, match=r"unknown keys \['parallel'\]"):
+@pytest.mark.parametrize("key", ["parallel", "compile"])
+def test_unknown_machine_key_rejected(key):
+    with pytest.raises(StudyError, match=rf"unknown keys \['{key}'\]"):
         Study("s").cell("x", app="mapreduce.reference",
-                        machine={"preset": "quiet", "parallel": 2})
+                        machine={"preset": "quiet", key: 2})
 
 
 def test_undeclared_bound_axis_rejected_at_compile():
