@@ -72,6 +72,10 @@ class IPICConfig:
             raise ValueError("hop_probabilities must sum to 1")
         if not (0.0 <= self.exit_fraction_mean <= 1.0):
             raise ValueError("exit_fraction_mean must be in [0, 1]")
+        if self.exit_sigma < 0:
+            raise ValueError("exit_sigma must be >= 0")
+        if self.mover_jitter_sigma < 0:
+            raise ValueError("mover_jitter_sigma must be >= 0")
 
     # ------------------------------------------------------------------
     @property
@@ -107,7 +111,7 @@ class IPICConfig:
 
     def mover_jitter(self, rank: int, step: int) -> float:
         """Transient per-(rank, step) mover slowdown factor."""
-        if self.mover_jitter_sigma <= 0:
+        if self.mover_jitter_sigma == 0:
             return 1.0
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=self.seed, spawn_key=(5, rank, step)))

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Union
-
-import numpy as np
+from typing import Callable, Dict, List, Union
 
 from ...workloads.corpus import (
     CorpusSpec,
@@ -29,6 +27,7 @@ from ...workloads.corpus import (
     histogram_nbytes,
     merge_histograms,
 )
+from ...workloads.keyed import keyed_draws
 
 #: mean bytes of one stored key on the wire (word string + count)
 KEY_WIRE_BYTES = 16.0
@@ -64,13 +63,25 @@ class MapReduceConfig:
 
     def __post_init__(self):
         if self.nprocs < 2:
-            raise ValueError("need at least 2 processes")
+            raise ValueError("nprocs must be >= 2")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must be in (0, 1)")
         if self.nchunks < 1:
             raise ValueError("nchunks must be >= 1")
         if self.bytes_per_rank <= 0:
             raise ValueError("bytes_per_rank must be positive")
+        if not (0.0 <= self.file_spread < 1.0):
+            raise ValueError("file_spread must be in [0, 1)")
+        if self.map_seconds_per_byte < 0:
+            raise ValueError("map_seconds_per_byte must be >= 0")
+        if self.chunk_jitter_sigma < 0:
+            raise ValueError("chunk_jitter_sigma must be >= 0")
+        if self.merge_seconds_per_entry < 0:
+            raise ValueError("merge_seconds_per_entry must be >= 0")
+        if self.master_update_elements < 1:
+            raise ValueError("master_update_elements must be >= 1")
+        if self.vocabulary < 1:
+            raise ValueError("vocabulary must be >= 1")
 
     # ------------------------------------------------------------------
     @property
@@ -190,50 +201,90 @@ def merge_cost_seconds(a: Histogram, b: Histogram,
 # the map kernel
 # ----------------------------------------------------------------------
 
-#: memo for rank_file draws — a plain dict, not lru_cache, because the
-#: simulation is single-threaded and the lru lock showed up in profiles
-_rank_file_memo: Dict[tuple, FileSpec] = {}
+#: per-configuration draw tables, keyed on the fields the draws read
+#: (not on nprocs, so every scale of one seed shares and extends one
+#: table); plain dicts, because the simulation is single-threaded
+_file_tables: Dict[tuple, List[FileSpec]] = {}
+_jitter_tables: Dict[tuple, List[List[float]]] = {}
+#: distinct configurations a table dict holds before it starts over
+_MAX_TABLES = 32
+
+
+def _table(tables: Dict[tuple, list], key: tuple, map_index: int,
+           nprocs: int, rows: Callable[[int, int], list]) -> list:
+    """``tables[key]`` grown to cover row ``map_index``.
+
+    The first call draws all ``nprocs`` rows, and a later miss at least
+    doubles the table, each with one ``rows(start, stop)`` call.  Every
+    row is a pure function of its own key, so growing in pieces draws
+    exactly what one call would have.
+    """
+    if map_index < 0:
+        raise ValueError(f"map_index must be >= 0, got {map_index}")
+    table = tables.get(key)
+    if table is None:
+        if len(tables) >= _MAX_TABLES:
+            tables.clear()
+        table = tables[key] = []
+    start = len(table)
+    table.extend(rows(start, max(map_index + 1, nprocs, 2 * start)))
+    return table
 
 
 def rank_file(cfg: MapReduceConfig, map_index: int) -> FileSpec:
     """The log file assigned to map task ``map_index`` (one irregular
-    file per map rank; see EXPERIMENTS.md for the volume bookkeeping).
+    file per map rank; README "Examples and figures" regenerates the
+    Fig. 5 runs into ``benchmarks/results/fig5_mapreduce.json``).
 
-    Pure function of (cfg, map_index) and requested ``nchunks`` times
-    per file across the map stage, so the draw is memoized — fresh
-    ``SeedSequence`` construction costs ~30us, which dominated the map
-    loop before the cache."""
-    key = (cfg.seed, cfg.bytes_per_rank, cfg.file_spread, map_index)
-    spec = _rank_file_memo.get(key)
-    if spec is None:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(7, map_index))
-        )
-        nbytes = int(cfg.bytes_per_rank
-                     * rng.uniform(1 - cfg.file_spread, 1 + cfg.file_spread))
-        spec = FileSpec(map_index, nbytes)
-        if len(_rank_file_memo) >= 1 << 16:
-            _rank_file_memo.clear()
-        _rank_file_memo[key] = spec
-    return spec
+    The size is ``bytes_per_rank`` times a uniform draw from the keyed
+    stream ``(7, map_index)`` of ``cfg.seed``.  Each map rank asks for
+    its file once per chunk, so the sizes of all files are drawn
+    together, by one :func:`keyed_draws` call, on the first request.
+    """
+    key = (cfg.seed, cfg.bytes_per_rank, cfg.file_spread)
+    table = _file_tables.get(key)
+    if table is None or not 0 <= map_index < len(table):
+        lo, hi = 1 - cfg.file_spread, 1 + cfg.file_spread
+
+        def rows(start, stop):
+            draws = keyed_draws(cfg.seed,
+                                [(7, i) for i in range(start, stop)],
+                                lambda gen: gen.uniform(lo, hi))
+            return [FileSpec(i, int(cfg.bytes_per_rank * u))
+                    for i, u in enumerate(draws, start)]
+        table = _table(_file_tables, key, map_index, cfg.nprocs, rows)
+    return table[map_index]
 
 
 def chunk_map_jitter(cfg: MapReduceConfig, map_index: int, chunk: int) -> float:
-    """Deterministic per-(rank, chunk) lognormal jitter factor.
+    """Deterministic per-(rank, chunk) lognormal jitter factor, drawn
+    from the keyed stream ``(11, map_index, chunk)`` of ``cfg.seed``.
 
-    Skipped entirely for ``chunk_jitter_sigma == 0``: ``lognormal(0, 0)``
-    is exactly 1.0, so the (expensive) generator construction can be
-    elided bit-identically — the deterministic perf scenarios rely on
-    this.
+    The factors of all ``nprocs * nchunks`` chunks are drawn together,
+    by one :func:`keyed_draws` call, on the first request.  Skipped
+    entirely for ``chunk_jitter_sigma == 0``: ``lognormal(0, 0)`` is
+    exactly 1.0, so the draw can be elided bit-identically, and the
+    deterministic perf scenarios rely on this.
     """
     sigma = cfg.chunk_jitter_sigma
     if sigma == 0.0:
         return 1.0
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=cfg.seed,
-                               spawn_key=(11, map_index, chunk))
-    )
-    return float(rng.lognormal(0.0, sigma))
+    if not 0 <= chunk < cfg.nchunks:
+        raise ValueError(f"chunk must be in [0, {cfg.nchunks}), got {chunk}")
+    key = (cfg.seed, sigma, cfg.nchunks)
+    table = _jitter_tables.get(key)
+    if table is None or not 0 <= map_index < len(table):
+        nchunks = cfg.nchunks
+
+        def rows(start, stop):
+            flat = keyed_draws(cfg.seed,
+                               [(11, f, c) for f in range(start, stop)
+                                for c in range(nchunks)],
+                               lambda gen: gen.lognormal(0.0, sigma))
+            return [flat[i:i + nchunks]
+                    for i in range(0, len(flat), nchunks)]
+        table = _table(_jitter_tables, key, map_index, cfg.nprocs, rows)
+    return table[map_index][chunk]
 
 
 def chunk_map_seconds(cfg: MapReduceConfig, map_index: int,

@@ -1,6 +1,7 @@
 """Benchmark harness regenerating every figure of the paper's
 evaluation (Section IV); see ``benchmarks/`` for the pytest entry
-points and EXPERIMENTS.md for paper-vs-measured."""
+points, README "Examples and figures" for the CLI, and
+``benchmarks/results/`` for the measured artifacts."""
 
 from .figures import (
     fig2_traces,

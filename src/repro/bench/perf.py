@@ -378,7 +378,8 @@ def _clear_memos() -> None:
     from ..faults import apps as fault_apps
     from ..simmpi import topology
     from ..mpistream import channel as mp_channel
-    mr_common._rank_file_memo.clear()
+    mr_common._file_tables.clear()
+    mr_common._jitter_tables.clear()
     mr_common._chunk_sketch_memo.clear()
     mr_decoupled._compiled_memo.clear()
     fault_apps._compiled_memo.clear()

@@ -179,6 +179,15 @@ def test_config_validation():
         IPICConfig(nprocs=4, exit_fraction_mean=2.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("mover_jitter_sigma", -0.5),   # was silently treated as no jitter
+    ("exit_sigma", -0.4),           # raised from exits() mid-run
+])
+def test_config_rejects_negative_sigma(field, value):
+    with pytest.raises(ValueError, match=field):
+        IPICConfig(nprocs=4, **{field: value})
+
+
 def test_exits_deterministic_and_bounded():
     cfg = IPICConfig(nprocs=4)
     a = cfg.exits(3, 7, 100_000)

@@ -1,7 +1,11 @@
 """Tests for the MapReduce case study."""
 
+import numpy as np
 import pytest
 
+import repro.apps.mapreduce.common as mr_common
+import repro.apps.mapreduce.decoupled as mr_decoupled
+import repro.apps.mapreduce.reference as mr_reference
 from repro.apps.mapreduce import (
     MapReduceConfig,
     RealHistogram,
@@ -15,7 +19,7 @@ from repro.apps.mapreduce import (
 )
 from repro.apps.mapreduce.common import empty_histogram, map_chunk
 from repro.simmpi import beskow, quiet_testbed, run
-from repro.workloads.corpus import merge_histograms
+from repro.workloads.corpus import FileSpec, merge_histograms
 
 
 def _cfg(**kw):
@@ -94,6 +98,56 @@ def test_irregular_file_sizes():
     assert all(lo <= s <= hi for s in sizes)
 
 
+def _per_key_file(cfg, map_index):
+    """rank_file from its own generator: the keyed table's reference."""
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=cfg.seed, spawn_key=(7, map_index)))
+    spread = cfg.file_spread
+    return FileSpec(map_index, int(cfg.bytes_per_rank
+                                   * rng.uniform(1 - spread, 1 + spread)))
+
+
+def _per_key_jitter(cfg, map_index, chunk):
+    """chunk_map_jitter from its own generator."""
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=cfg.seed, spawn_key=(11, map_index, chunk)))
+    return float(rng.lognormal(0.0, cfg.chunk_jitter_sigma))
+
+
+@pytest.mark.parametrize("seed", [2017, 88])
+@pytest.mark.parametrize("worker", [decoupled_worker, reference_worker])
+def test_jittered_run_matches_per_key_generators(monkeypatch, worker, seed):
+    """The default-jitter path end to end: the keyed tables must time
+    every chunk exactly as one generator per draw would.  The traced
+    map intervals catch a wrong draw off the critical path, which the
+    run totals alone would not show."""
+    cfg = MapReduceConfig(nprocs=32, nchunks=4, seed=seed)
+
+    def outcome():
+        r = run(worker, cfg.nprocs, args=(cfg,), machine=beskow(),
+                trace=True)
+        return (r.elapsed, r.finish_times, r.events, r.messages, r.bytes,
+                r.tracer.by_label("map"))
+
+    shipped = outcome()
+    jittered = []
+
+    def jitter(*args):
+        jittered.append(args)
+        return _per_key_jitter(*args)
+
+    monkeypatch.setattr(mr_common, "chunk_map_jitter", jitter)
+    monkeypatch.setattr(mr_decoupled, "rank_file", _per_key_file)
+    monkeypatch.setattr(mr_reference, "rank_file", _per_key_file)
+    assert outcome() == shipped
+    assert len(jittered) == cfg.nprocs * cfg.nchunks
+
+
+def test_rank_file_rejects_negative_index():
+    with pytest.raises(ValueError, match="map_index"):
+        rank_file(MapReduceConfig(nprocs=4), -1)
+
+
 def test_summary_histogram_merge_invariants():
     a = SummaryHistogram(1000, 5000, vocab=10_000)
     b = SummaryHistogram(2000, 7000, vocab=10_000)
@@ -137,15 +191,25 @@ def test_merge_cost_uses_smaller_side():
     assert merge_cost_seconds(a, b, cfg) == 10 * cfg.merge_seconds_per_entry
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        MapReduceConfig(nprocs=1)
-    with pytest.raises(ValueError):
-        MapReduceConfig(nprocs=4, alpha=0.0)
-    with pytest.raises(ValueError):
-        MapReduceConfig(nprocs=4, nchunks=0)
-    with pytest.raises(ValueError):
-        MapReduceConfig(nprocs=4, bytes_per_rank=0)
+@pytest.mark.parametrize("field, value", [
+    ("nprocs", 1),
+    ("alpha", 0.0),
+    ("nchunks", 0),
+    ("bytes_per_rank", 0),
+    # each of these used to be accepted and then break the run (or, for
+    # master_update_elements, silently behave as 1)
+    ("chunk_jitter_sigma", -0.1),
+    ("file_spread", -0.2),
+    ("file_spread", 1.5),
+    ("map_seconds_per_byte", -1e-7),
+    ("merge_seconds_per_entry", -1e-9),
+    ("vocabulary", 0),
+    ("master_update_elements", 0),
+])
+def test_config_validation(field, value):
+    kw = {"nprocs": 4, field: value}
+    with pytest.raises(ValueError, match=field):
+        MapReduceConfig(**kw)
 
 
 def test_reference_timing_breakdown_sums():

@@ -277,3 +277,31 @@ def test_match_count_independent_of_arrival_order(order_flip):
             mb.deliver(env)
             mb.post(post)
     assert sorted(matches) == list(range(len(order_flip)))
+
+
+def test_single_message_buckets_cost_no_deque():
+    """A routed stream's teardown leaves one unreceived TERM per
+    (producer, consumer) pair, each alone under its own (context,
+    source, tag) key.  Parking such a message must not cost a ~760-byte
+    deque: the 8192-rank decoupled CG parks 7.9 million of them."""
+    import tracemalloc
+
+    mb = Mailbox()
+    mb.probe(ANY_SOURCE, 0, 0)       # wildcard-source class on, as on a consumer
+    envs = [_env(src=s, tag=0) for s in range(20000)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for env in envs:
+            mb.deliver(env)
+        per_message = (tracemalloc.get_traced_memory()[0] - before) / len(envs)
+    finally:
+        tracemalloc.stop()
+    # ~220 bytes with bare one-entry buckets, ~980 with a deque per key
+    assert per_message < 400, per_message
+    # the parked messages still match in delivery order
+    matched = []
+    for _ in envs:
+        mb.post(_post(matched, tag=0))
+    assert [env.src for env in matched] == list(range(20000))
+    assert mb.pending_counts() == (0, 0)
