@@ -42,7 +42,7 @@ from collections import OrderedDict, deque
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from ..simmpi.datatypes import SizedPayload
-from ..simmpi.engine import EventFlag, Spawn, WaitFlag
+from ..simmpi.engine import EventFlag, Spawn, WaitFlag, wait_any
 from ..simmpi.errors import FaultSignal, ProcessFailedError, RevokedError
 from ..simmpi.matching import ANY_SOURCE, ANY_TAG
 from .spec import CosimError, HubSpec
@@ -83,35 +83,6 @@ def mirror_slot_bytes(spec: HubSpec, n_producers: int) -> int:
     per_hub = max(1, (n_producers + spec.size - 1) // spec.size)
     buffered = spec.buffer_depth + (spec.scale_ratio - 1) * per_hub
     return _MIRROR_HEADER_BYTES + spec.element_bytes * buffered
-
-
-def _waitany_flags(engine, flags) -> Generator[Any, Any, Tuple[int, Any]]:
-    """Block until the first of ``flags`` (EventFlags / Requests) is set.
-
-    Returns ``(index, payload)``; raises the carried error if the flag
-    was poisoned by the fault controller.  Watchers are daemons so a
-    flag that never fires cannot deadlock the run.
-    """
-    for i, f in enumerate(flags):
-        if f.is_set:
-            payload = f.payload
-            if payload.__class__ is FaultSignal:
-                raise payload.error
-            return i, payload
-    any_flag = EventFlag(label="cosim-waitany")
-
-    def watcher(idx, flag):
-        payload = yield WaitFlag(flag)
-        if not any_flag.is_set:
-            engine.set_flag(any_flag, (idx, payload))
-
-    for i, f in enumerate(flags):
-        yield Spawn(watcher(i, f), name="cosim-waitany", daemon=True)
-    hit = yield WaitFlag(any_flag)
-    idx, payload = hit
-    if payload.__class__ is FaultSignal:
-        raise payload.error
-    return idx, payload
 
 
 def _unwrap(data: Any) -> Any:
@@ -379,8 +350,11 @@ def hub_main(hubcomm, inter_a, inter_b, win, spec: HubSpec,
             return True
         if ctl is not None:
             # TERMs absorbed by a rank that died afterwards are never
-            # re-sent; the controller's persisted record covers them
+            # re-sent; the controller's persisted record covers them.
+            # A dead producer never sends its TERM (DESIGN §12's rule
+            # for dead stream producers)
             need -= ctl.terminated_producers(inter_a.context, TAG_TERM)
+            need -= set(inter_a.failed_members())
         return not need
 
     def next_alive_after(idx: int) -> Optional[int]:
@@ -587,11 +561,16 @@ def hub_main(hubcomm, inter_a, inter_b, win, spec: HubSpec,
                     continue
             flags.append(r_data)
         try:
-            idx, payload = yield from _waitany_flags(engine, flags)
+            idx, payload = yield from wait_any(engine, flags)
         except (ProcessFailedError, RevokedError):
             yield from recover()
             if r_sent.is_set:
                 r_sent = hubcomm.irecv(source=ANY_SOURCE, tag=ANY_TAG)
+            if r_data is not None and r_data.is_set \
+                    and r_data.payload.__class__ is FaultSignal:
+                # an A-side producer died: the poisoned wildcard would
+                # re-raise on every pass without yielding; re-post it
+                r_data = None
             continue
         hit = flags[idx]
         if hit is r_sent:  # pragma: no cover - poison path raises instead
@@ -758,8 +737,7 @@ def hub_main(hubcomm, inter_a, inter_b, win, spec: HubSpec,
             try:
                 if stray is None:
                     stray = inter_a.irecv(source=ANY_SOURCE, tag=ANY_TAG)
-                idx, payload = yield from _waitany_flags(
-                    engine, [sentinel, stray])
+                idx, payload = yield from wait_any(engine, [sentinel, stray])
             except (ProcessFailedError, RevokedError):
                 before = len(owned)
                 yield from recover()

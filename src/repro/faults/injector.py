@@ -106,7 +106,8 @@ class FaultController:
     def note_stream_terminated(self, context: int, tag: int,
                                producer_local: int) -> None:
         """A producer finished terminating stream ``tag`` on channel
-        ``context`` (recorded by the stream's fault-mode terminate)."""
+        ``context`` (recorded by ``Stream.terminate`` and the cosim
+        ``APort.close``)."""
         self.stream_terms.setdefault((context, tag), set()).add(
             producer_local)
 
@@ -245,9 +246,9 @@ class FaultController:
         if not self.detected:
             return
         detected = self.detected
-        # intercomm receives are addressed by remote-group rank; the
-        # peers whose death dooms them live in the remote group
-        peers = comm.remote_ranks if comm.is_inter else comm.ranks
+        # receives address the communicator's peer group (the remote
+        # group of an intercomm): its members' deaths doom them
+        peers = comm._peers
         if source == ANY_SOURCE:
             if comm._fault_acked >= self.version:
                 return

@@ -26,15 +26,6 @@ from ..simmpi.errors import (
     RevokedError,
 )
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    _np = None
-
-#: producer counts from which the routing table switches to a dense
-#: numpy array (below this, list arithmetic wins on constant factors)
-DENSE_PEERS = 256
-
 #: blocked-routing tables keyed (nproducers, nconsumers) — shared by
 #: every channel of the same shape and read by ``Simulation.explain``
 #: for its fan-in lines, so the report cannot disagree with the
@@ -46,21 +37,15 @@ def blocked_peers(nproducers: int, nconsumers: int):
     """Producer index -> consumer index table of the blocked
     distribution (producer ``i`` of NP targets consumer ``i*NC//NP``).
 
-    Returns a numpy ``int64`` array for large producer counts, a plain
-    list below :data:`DENSE_PEERS`.  Cached per shape."""
+    Cached per shape."""
     key = (nproducers, nconsumers)
     hit = _peers_cache.get(key)
     if hit is not None:
         return hit[0]
-    if _np is not None and nproducers >= DENSE_PEERS:
-        table = (_np.arange(nproducers, dtype=_np.int64)
-                 * nconsumers // nproducers)
-        counts = _np.bincount(table, minlength=nconsumers)
-    else:
-        table = [i * nconsumers // nproducers for i in range(nproducers)]
-        counts = [0] * nconsumers
-        for ci in table:
-            counts[ci] += 1
+    table = [i * nconsumers // nproducers for i in range(nproducers)]
+    counts = [0] * nconsumers
+    for ci in table:
+        counts[ci] += 1
     if len(_peers_cache) >= 64:
         _peers_cache.clear()
     _peers_cache[key] = (table, counts)
@@ -147,16 +132,14 @@ class StreamChannel:
     def producers_of(self, consumer_index: int) -> List[int]:
         """Indices of producers statically assigned to this consumer."""
         table = blocked_peers(self.nproducers, self.nconsumers)
-        if _np is not None and isinstance(table, _np.ndarray):
-            return _np.nonzero(table == consumer_index)[0].tolist()
         return [i for i, ci in enumerate(table) if ci == consumer_index]
 
     def fan_in(self, consumer_index: int) -> int:
         """Number of producers assigned to ``consumer_index`` — the
         consumer-side termination count, without materializing the
         index list ``producers_of`` returns."""
-        return int(blocked_fan_in(self.nproducers,
-                                  self.nconsumers)[consumer_index])
+        return blocked_fan_in(self.nproducers,
+                              self.nconsumers)[consumer_index]
 
     @property
     def role(self) -> str:
@@ -220,32 +203,24 @@ class StreamChannel:
     def free(self) -> Generator[Any, Any, None]:
         """Collective channel teardown (``MPIStream_FreeChannel``).
 
-        On a fault-mode run where a channel member has already failed,
-        the collective barrier could never complete; teardown degrades
-        to a local free (ULFM without shrink), deterministically on
-        every surviving rank."""
+        On a fault-injection run where a channel member has failed, the
+        collective barrier could never complete; teardown degrades to a
+        local free (ULFM without shrink), deterministically on every
+        surviving rank: the collective context is revoked so members
+        already parked inside the barrier escape instead of waiting for
+        ranks that will never arrive.  The p2p context stays live —
+        other members may still be streaming."""
         self.check_alive()
-        ctl = self.comm.world._fault_ctl
-        if ctl is not None:
-            coll_only = (self.comm.context_coll,)
-            if any(g in ctl.failed for g in self.comm.ranks):
-                # revoke the collective context so members already
-                # parked inside the teardown barrier (they entered
-                # before the crash) escape instead of waiting for
-                # ranks that will never arrive; the p2p context stays
-                # live — other members may still be streaming
-                ctl.revoke(self.comm, contexts=coll_only)
+        comm = self.comm
+        ctl = comm.world._fault_ctl
+        if ctl is None or not any(g in ctl.failed for g in comm.ranks):
+            try:
+                yield from comm.barrier()
                 self.freed = True
                 return
-            try:
-                yield from self.comm.barrier()
             except (ProcessFailedError, RevokedError):
-                # a member died while we were inside the barrier:
-                # degrade, releasing everyone else parked in it too
-                ctl.revoke(self.comm, contexts=coll_only)
-            self.freed = True
-            return
-        yield from self.comm.barrier()
+                pass  # a member died while we were inside the barrier
+        ctl.revoke(comm, contexts=(comm.context_coll,))
         self.freed = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -36,11 +36,6 @@ class StreamProfile:
     adopted_producers: int = field(default=0, repr=False)
 
     # ------------------------------------------------------------------
-    def record_send(self, nbytes: int, overhead: float) -> None:
-        self.elements_sent += 1
-        self.bytes_sent += nbytes
-        self.overhead_paid += overhead
-
     def record_recv(self, nbytes: int, when: float) -> None:
         self.elements_received += 1
         self.bytes_received += nbytes

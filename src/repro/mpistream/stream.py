@@ -77,11 +77,11 @@ class Stream:
         self._seq = 0
         self._pending: Deque = deque()
         self._terminated = False
-        # fault mode: active when the run injects faults or the stream
-        # checkpoints; fault-free streams keep the pristine hot paths
+        # failure handling runs only when the run injects faults
+        # (`_ctl`), checkpointing only when the stream declares a policy;
+        # both sit behind one `is not None` compare on the shared paths
         self.checkpoint = checkpoint
         self._ctl = channel.comm.world._fault_ctl
-        self._fault_mode = self._ctl is not None or checkpoint is not None
         if checkpoint is not None:
             checkpoint.validate()
             if router is not None:
@@ -89,19 +89,18 @@ class Stream:
                     "checkpoint recovery needs static blocked routing; "
                     "a custom router cannot replay deterministically")
         self.ack_tag = tag + ACK_TAG_BASE
-        if self._fault_mode:
-            self._seen_version = 0
-            self._handled_globals: set = set()
-            self._dead_locals: set = set()
-            self._termed_sources: set = set()
-            #: dead producers already subtracted from expected_terms; a
-            #: TERM of theirs still in flight must not count twice
-            self._discounted_sources: set = set()
-            self._unacked: Deque = deque()   # (seq, data, nbytes) un-acked
-            self._ack_req = None
-            self._contrib: dict = {}         # src local rank -> last seq
-            self._since_ckpt = 0
-            self._stream_failed = None
+        self._seen_version = 0
+        self._handled_globals: set = set()
+        self._dead_locals: set = set()
+        self._termed_sources: set = set()
+        #: dead producers already subtracted from expected_terms; a
+        #: TERM of theirs still in flight must not count twice
+        self._discounted_sources: set = set()
+        self._unacked: Deque = deque()   # (seq, data, nbytes) un-acked
+        self._ack_req = None
+        self._contrib: dict = {}         # src local rank -> last seq
+        self._since_ckpt = 0
+        self._stream_failed = None
         # static blocked routing resolves the destination once, not per
         # element (custom routers stay per-element, see _dest)
         if channel.is_producer and router is None:
@@ -111,8 +110,8 @@ class Stream:
         else:
             self._static_dest = None
             self._dest_ci0 = None
-        # on noise-free machines the per-element injection delay is one
-        # constant — prebuild the syscall object (lazily, see isend)
+        # when compute charges are constant (World._compute_fast) the
+        # per-element injection delay is one object (built lazily, isend)
         self._inject_delay = None
         # consumer-side bookkeeping
         if channel.is_consumer:
@@ -154,16 +153,19 @@ class Stream:
                 f"role {channel.role})")
         if self._terminated:
             raise RequestError("isend after terminate")
-        if self._fault_mode:
-            yield from self._isend_fault(data)
-            return
         comm = channel.comm
+        world = comm.world
+        if self._ctl is not None:
+            yield from self._poll_failures()
+            if self._stream_failed is not None:
+                raise self._stream_failed
+        if self.checkpoint is not None:
+            yield from self._drain_acks()
         overhead = self.element_overhead
         if overhead > 0:
-            world = comm.world
-            if world._noise_free and world.tracer is None:
-                # constant injection cost: reuse one Delay object and
-                # skip the compute() generator entirely
+            if world._compute_fast:
+                # constant injection cost (what compute() would charge):
+                # reuse one Delay object and skip the compute() call
                 inject = self._inject_delay
                 if inject is None:
                     inject = self._inject_delay = Delay(
@@ -171,19 +173,25 @@ class Stream:
                 yield inject
             else:
                 yield from comm.compute(overhead, label="stream-inject")
-        if len(self._pending) >= self.window:
-            oldest = self._pending.popleft()
+        pending = self._pending
+        if len(pending) >= self.window:
+            oldest = pending.popleft()
             # comm.wait inlined (label "stream-window"): the window is
             # normally full in steady state, so this runs per element
             oldest._waited = True
-            if not oldest.is_set:
-                world = comm.world
+            if oldest.is_set:
+                sent = oldest.payload
+            else:
                 engine = world.engine
                 t0 = engine.now
-                yield WaitFlag(oldest)
+                sent = yield WaitFlag(oldest)
                 if world.tracer is not None and engine.now > t0:
                     world.tracer.record(comm.global_rank, "wait",
                                         "stream-window", t0, engine.now)
+            if sent.__class__ is FaultSignal:
+                yield from self._poll_failures()
+                if self._stream_failed is not None:
+                    raise self._stream_failed
         dest = (self._static_dest if self._static_dest is not None
                 else self._dest(data))
         payload = (self._seq, data)
@@ -193,15 +201,27 @@ class Stream:
         # channel-fixed and already validated, so the per-element work
         # is exactly the o_send delay plus the transport hand-off.
         nbytes = element_nbytes(data)
-        world = comm.world
         o_send_delay = world._o_send_delay
         if o_send_delay is not None:
             yield o_send_delay
-        req = world.post_send(comm._global, comm.ranks[dest], comm._rank,
-                              self.tag, comm.context, payload, nbytes,
-                              force_eager=self.eager)
-        self._pending.append(req)
-        # profile.record_send inlined (per-element path)
+        try:
+            req = world.post_send(comm._global, comm.ranks[dest], comm._rank,
+                                  self.tag, comm.context, payload, nbytes,
+                                  force_eager=self.eager)
+        except RevokedError:
+            # the destination's failure was detected while we yielded;
+            # retarget (no virtual time passes in between) and resend
+            yield from self._poll_failures()
+            if self._stream_failed is not None:
+                raise self._stream_failed
+            dest = (self._static_dest if self._static_dest is not None
+                    else self._dest(data))
+            req = world.post_send(comm._global, comm.ranks[dest], comm._rank,
+                                  self.tag, comm.context, payload, nbytes,
+                                  force_eager=self.eager)
+        pending.append(req)
+        if self.checkpoint is not None:
+            self._unacked.append((self._seq, data, nbytes))
         profile = self.profile
         profile.elements_sent += 1
         profile.bytes_sent += nbytes
@@ -212,28 +232,60 @@ class Stream:
         """End this producer's flow (``MPIStream_Terminate``).
 
         Flushes the in-flight window, then sends a TERM control element
-        to the consumer(s) this producer can reach."""
-        self.channel.check_alive()
-        if not self.channel.is_producer:
+        to the consumer(s) that currently own this flow."""
+        channel = self.channel
+        channel.check_alive()
+        if not channel.is_producer:
             raise CommunicatorError(
                 f"terminate on a non-producer rank (rank "
-                f"{self.channel.comm.rank}, role {self.channel.role})")
+                f"{channel.comm.rank}, role {channel.role})")
         if self._terminated:
             raise RequestError("stream terminated twice")
-        if self._fault_mode:
-            yield from self._terminate_fault()
-            return
-        comm = self.channel.comm
-        for req in self._pending:
-            yield from comm.wait(req, label="stream-flush")
-        self._pending.clear()
+        comm = channel.comm
+        world = comm.world
+        engine = world.engine
+        pending = self._pending
+        while pending:
+            # popleft, not iteration: failure handling mid-flush can
+            # replay un-acked elements, which appends to the window
+            req = pending.popleft()
+            req._waited = True
+            if req.is_set:
+                payload = req.payload
+            else:
+                t0 = engine.now
+                payload = yield WaitFlag(req)
+                if world.tracer is not None and engine.now > t0:
+                    world.tracer.record(comm.global_rank, "wait",
+                                        "stream-flush", t0, engine.now)
+            if payload.__class__ is FaultSignal:
+                yield from self._poll_failures()
+        ctl = self._ctl
+        if ctl is not None:
+            yield from self._poll_failures()
+            if self._stream_failed is not None:
+                # no consumer left to terminate to
+                self._terminated = True
+                return
         if self.router is None:
-            targets = [self.channel.consumer_of(self.channel.producer_index)]
+            targets = [self._static_dest]
         else:
-            targets = list(self.channel.consumers)
+            targets = [c for c in channel.consumers
+                       if c not in self._dead_locals]
         for dest in targets:
-            yield from comm.send((self._seq, TERMINATE), dest, tag=self.tag)
+            try:
+                yield from comm.send((self._seq, TERMINATE), dest,
+                                     tag=self.tag)
+            except (ProcessFailedError, RevokedError):
+                yield from self._poll_failures()
+                if self.router is None and self._stream_failed is None:
+                    yield from comm.send((self._seq, TERMINATE),
+                                         self._static_dest, tag=self.tag)
         self._terminated = True
+        if ctl is not None:
+            # record the completed termination so a future successor
+            # does not wait for a TERM that died with its consumer
+            ctl.note_stream_terminated(comm.context, self.tag, comm._rank)
 
     # ------------------------------------------------------------------
     # consumer side
@@ -277,13 +329,12 @@ class Stream:
             raise payload.error
         (seq, data), st = payload
         if data is TERMINATE:  # identity: payloads move by reference in-sim
-            if self._fault_mode:
-                self._termed_sources.add(st.source)
-                if st.source in self._discounted_sources:
-                    # death already discounted this producer; absorb the
-                    # in-flight TERM without double-counting
-                    self._discounted_sources.discard(st.source)
-                    return None
+            self._termed_sources.add(st.source)
+            if st.source in self._discounted_sources:
+                # death already discounted this producer; absorb the
+                # in-flight TERM without double-counting
+                self._discounted_sources.discard(st.source)
+                return None
             self._terms_seen += 1
             self.profile.terminates_seen += 1
             return None
@@ -304,9 +355,6 @@ class Stream:
         channel = self.channel
         if channel.freed:
             channel.check_alive()
-        if self._fault_mode:
-            profile = yield from self._operate_fault()
-            return profile
         # note: no is_consumer guard — a non-consumer has zero expected
         # terminations, skips the loop and returns an empty profile,
         # exactly as before the loop was inlined
@@ -315,6 +363,8 @@ class Stream:
         engine = world.engine
         profile = self.profile
         tag = self.tag
+        ckpt = self.checkpoint
+        ctl = self._ctl
         profile.service_start = engine.now
         # the consumer hot loop: recv_element + _apply are inlined — at
         # funnel rates the two extra generators per element are real
@@ -323,18 +373,40 @@ class Stream:
         my_global = comm._global
         context = comm.context
         while self._expected_terms > self._terms_seen:
+            if ctl is not None:
+                if ctl.version != self._seen_version:
+                    yield from self._handle_failures()
+                    comm.failure_ack()
+                    continue      # accounting may have changed
+                try:
+                    ctl.check_recv(comm, ANY_SOURCE)
+                except ProcessFailedError:
+                    yield from self._handle_failures()
+                    comm.failure_ack()
+                    continue
             req = post_recv(my_global, ANY_SOURCE, tag, context,
                             label="stream-recv")
             req._waited = True
             if req.is_set:
-                (seq, data), st = req.payload
+                payload = req.payload
             else:
                 t0 = engine.now
-                (seq, data), st = yield WaitFlag(req)
+                payload = yield WaitFlag(req)
                 if world.tracer is not None and engine.now > t0:
                     world.tracer.record(comm.global_rank, "wait", "recv",
                                         t0, engine.now)
+            if payload.__class__ is FaultSignal:
+                yield from self._handle_failures()
+                comm.failure_ack()
+                continue
+            (seq, data), st = payload
             if data is TERMINATE:
+                self._termed_sources.add(st.source)
+                if st.source in self._discounted_sources:
+                    # this producer's death already reduced the
+                    # accounting; its in-flight TERM must not count too
+                    self._discounted_sources.discard(st.source)
+                    continue
                 self._terms_seen += 1
                 profile.terminates_seen += 1
                 continue
@@ -345,6 +417,11 @@ class Stream:
             result = operator(StreamElement(data, st.source, seq, st.nbytes))
             if inspect.isgenerator(result) or type(result) is ComputeCharge:
                 yield from result
+            if ckpt is not None:
+                self._contrib[st.source] = seq
+                self._since_ckpt += 1
+                if self._since_ckpt >= ckpt.interval:
+                    yield from self._do_checkpoint()
         profile.service_end = engine.now
         return profile
 
@@ -367,10 +444,10 @@ class Stream:
         return processed
 
     # ------------------------------------------------------------------
-    # fault mode (repro.faults): notification, checkpointing, recovery.
-    # Everything below only runs when the simulation injects faults or
-    # the stream declares a Checkpoint policy; the pristine paths above
-    # stay byte-identical for fault-free runs.
+    # failure handling and checkpointing (repro.faults).  Everything
+    # below runs only when the simulation injects faults or the stream
+    # declares a Checkpoint policy; the paths above reach it through
+    # `_ctl is not None` / `checkpoint is not None` compares.
     # ------------------------------------------------------------------
     def _poll_failures(self) -> Generator[Any, Any, None]:
         """Catch up on failures detected since this stream last looked."""
@@ -570,167 +647,6 @@ class Stream:
             except ProcessFailedError:
                 yield from self._handle_failures()
                 comm.failure_ack()
-
-    def _isend_fault(self, data: Any) -> Generator[Any, Any, None]:
-        """Fault-mode injection: the pristine isend plus failure polling,
-        ack draining and the un-acked replay buffer."""
-        channel = self.channel
-        comm = channel.comm
-        yield from self._poll_failures()
-        if self._stream_failed is not None:
-            raise self._stream_failed
-        if self.checkpoint is not None:
-            yield from self._drain_acks()
-        overhead = self.element_overhead
-        if overhead > 0:
-            yield from comm.compute(overhead, label="stream-inject")
-        if len(self._pending) >= self.window:
-            oldest = self._pending.popleft()
-            oldest._waited = True
-            if oldest.is_set:
-                payload = oldest.payload
-            else:
-                payload = yield WaitFlag(oldest)
-            if payload.__class__ is FaultSignal:
-                yield from self._poll_failures()
-                if self._stream_failed is not None:
-                    raise self._stream_failed
-        dest = (self._static_dest if self._static_dest is not None
-                else self._dest(data))
-        payload = (self._seq, data)
-        nbytes = element_nbytes(data)
-        world = comm.world
-        o_send_delay = world._o_send_delay
-        if o_send_delay is not None:
-            yield o_send_delay
-        try:
-            req = world.post_send(comm._global, comm.ranks[dest], comm._rank,
-                                  self.tag, comm.context, payload, nbytes,
-                                  force_eager=self.eager)
-        except RevokedError:
-            # the destination's failure was detected while we yielded;
-            # retarget (no virtual time passes in between) and resend
-            yield from self._poll_failures()
-            if self._stream_failed is not None:
-                raise self._stream_failed
-            dest = (self._static_dest if self._static_dest is not None
-                    else self._dest(data))
-            req = world.post_send(comm._global, comm.ranks[dest], comm._rank,
-                                  self.tag, comm.context, payload, nbytes,
-                                  force_eager=self.eager)
-        self._pending.append(req)
-        if self.checkpoint is not None:
-            self._unacked.append((self._seq, data, nbytes))
-        profile = self.profile
-        profile.elements_sent += 1
-        profile.bytes_sent += nbytes
-        profile.overhead_paid += overhead
-        self._seq += 1
-
-    def _operate_fault(self) -> Generator[Any, Any, StreamProfile]:
-        """Fault-mode consumption: the pristine operate loop plus failure
-        polling, interrupted-wildcard handling and checkpointing."""
-        operator = self.operator
-        channel = self.channel
-        comm = channel.comm
-        world = comm.world
-        engine = world.engine
-        profile = self.profile
-        tag = self.tag
-        ckpt = self.checkpoint
-        ctl = self._ctl
-        profile.service_start = engine.now
-        while self._expected_terms > self._terms_seen:
-            if ctl is not None and ctl.version != self._seen_version:
-                yield from self._handle_failures()
-                comm.failure_ack()
-                continue          # accounting may have changed
-            try:
-                req = comm.irecv(ANY_SOURCE, tag)
-            except ProcessFailedError:
-                yield from self._handle_failures()
-                comm.failure_ack()
-                continue
-            req._waited = True
-            if req.is_set:
-                payload = req.payload
-            else:
-                t0 = engine.now
-                payload = yield WaitFlag(req)
-                if world.tracer is not None and engine.now > t0:
-                    world.tracer.record(comm.global_rank, "wait", "recv",
-                                        t0, engine.now)
-            if payload.__class__ is FaultSignal:
-                yield from self._handle_failures()
-                comm.failure_ack()
-                continue
-            (seq, data), st = payload
-            if data is TERMINATE:
-                self._termed_sources.add(st.source)
-                if st.source in self._discounted_sources:
-                    # this producer's death already reduced the
-                    # accounting; its in-flight TERM must not count too
-                    self._discounted_sources.discard(st.source)
-                    continue
-                self._terms_seen += 1
-                profile.terminates_seen += 1
-                continue
-            profile.elements_received += 1
-            profile.bytes_received += st.nbytes
-            profile.arrival_times.append(engine.now)
-            result = operator(StreamElement(data, st.source, seq, st.nbytes))
-            if inspect.isgenerator(result) or type(result) is ComputeCharge:
-                yield from result
-            if ckpt is not None:
-                self._contrib[st.source] = seq
-                self._since_ckpt += 1
-                if self._since_ckpt >= ckpt.interval:
-                    yield from self._do_checkpoint()
-        profile.service_end = engine.now
-        return profile
-
-    def _terminate_fault(self) -> Generator[Any, Any, None]:
-        """Fault-mode termination: flush tolerating poisoned requests,
-        then TERM the consumer(s) that currently own this flow."""
-        channel = self.channel
-        comm = channel.comm
-        pending = self._pending
-        while pending:
-            # popleft, not iteration: failure handling mid-flush can
-            # replay un-acked elements, which appends to the window
-            req = pending.popleft()
-            req._waited = True
-            if req.is_set:
-                payload = req.payload
-            else:
-                payload = yield WaitFlag(req)
-            if payload.__class__ is FaultSignal:
-                yield from self._poll_failures()
-        yield from self._poll_failures()
-        if self._stream_failed is not None:
-            # no consumer left to terminate to
-            self._terminated = True
-            return
-        if self.router is None:
-            targets = [self._static_dest]
-        else:
-            targets = [c for c in channel.consumers
-                       if c not in self._dead_locals]
-        for dest in targets:
-            try:
-                yield from comm.send((self._seq, TERMINATE), dest,
-                                     tag=self.tag)
-            except (ProcessFailedError, RevokedError):
-                yield from self._poll_failures()
-                if self.router is None and self._stream_failed is None:
-                    yield from comm.send((self._seq, TERMINATE),
-                                         self._static_dest, tag=self.tag)
-        self._terminated = True
-        if self._ctl is not None:
-            # record the completed termination so a future successor
-            # does not wait for a TERM that died with its consumer
-            self._ctl.note_stream_terminated(comm.context, self.tag,
-                                             comm._rank)
 
 
 def attach(channel: StreamChannel, operator: Optional[Callable] = None,

@@ -27,7 +27,7 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from .config import MachineConfig
 from .datatypes import Datatype, payload_nbytes
-from .engine import Delay, Engine, EventFlag, Spawn, WaitFlag, wait_flag
+from .engine import Delay, Engine, WaitFlag, wait_any
 from .errors import (
     CommunicatorError,
     FaultSignal,
@@ -308,6 +308,10 @@ class Comm:
         self.rank = self._rank
         self.size = len(self.ranks)
         self.global_rank = my_global
+        # the group point-to-point ranks address: this communicator's
+        # own members (an Intercomm points these at its remote group)
+        self._peers = self.ranks
+        self._npeers = self.size
         # populated by group_from_ranks when a node-layout hint is given
         self.node_hint: Optional[str] = None
         self.node_hint_ok: Optional[bool] = None
@@ -358,6 +362,9 @@ class Comm:
         raise InvalidRankError(
             f"rank {r} out of range for {self.name!r} of size {self.size}"
         )
+
+    #: validates a point-to-point dest/source (a rank of ``_peers``)
+    _check_peer = _check_rank
 
     @staticmethod
     def _check_tag(tag: int, wildcard: bool = False) -> None:
@@ -429,8 +436,8 @@ class Comm:
               _ctx: Optional[int] = None,
               nbytes: Optional[int] = None,
               force_eager: bool = False) -> Generator[Any, Any, Request]:
-        if self._freed or dest < 0 or dest >= self.size:
-            self._check_rank(dest)
+        if self._freed or dest < 0 or dest >= self._npeers:
+            self._check_peer(dest)
         if tag < 0 or tag > TAG_UB:
             self._check_tag(tag)
         if nbytes is None:
@@ -439,8 +446,10 @@ class Comm:
         delay = world._o_send_delay
         if delay is not None:
             yield delay
+        # lsrc is this rank's coordinate in its OWN group: on an
+        # intercomm that is the remote-rank value the receiver matches
         return world.post_send(
-            self._global, self.ranks[dest], self._rank, tag,
+            self._global, self._peers[dest], self._rank, tag,
             self.context if _ctx is None else _ctx, data, nbytes,
             force_eager=force_eager,
         )
@@ -448,14 +457,14 @@ class Comm:
     def issend(self, data: Any, dest: int, tag: int = 0,
                datatype: Optional[Datatype] = None, count: Optional[int] = None,
                _ctx: Optional[int] = None) -> Generator[Any, Any, Request]:
-        self._check_rank(dest)
+        self._check_peer(dest)
         self._check_tag(tag)
         nbytes = payload_nbytes(data, datatype, count)
         o_send = self.world._o_send
         if o_send > 0:
             yield Delay(o_send)
         return self.world.post_send(
-            self._global, self.ranks[dest], self._rank, tag,
+            self._global, self._peers[dest], self._rank, tag,
             self.context if _ctx is None else _ctx, data, nbytes,
             synchronous=True,
         )
@@ -464,16 +473,17 @@ class Comm:
               max_nbytes: Optional[int] = None,
               _ctx: Optional[int] = None) -> Request:
         """Post a non-blocking receive (no CPU cost until completion)."""
-        if self._freed or source < ANY_SOURCE or source >= self.size:
-            self._check_rank(source, wildcard=True)
+        if self._freed or source < ANY_SOURCE or source >= self._npeers:
+            self._check_peer(source, wildcard=True)
         if tag > TAG_UB or tag < ANY_TAG:
             self._check_tag(tag, wildcard=True)
         ctl = self.world._fault_ctl
         if ctl is not None:
             ctl.check_recv(self, source)
-        lsource = source  # local rank or wildcard; envelopes carry local src
+        # envelopes carry the sender's rank in its own group, which is
+        # the peer-group coordinate (or wildcard) matched here
         return self.world.post_recv(
-            self._global, lsource, tag,
+            self._global, source, tag,
             self.context if _ctx is None else _ctx, max_nbytes,
         )
 
@@ -501,13 +511,13 @@ class Comm:
         ctl.revoke(self)
 
     def failed_members(self) -> Tuple[int, ...]:
-        """Local ranks of members whose failure has been detected
-        (empty on fault-free runs)."""
+        """Peer ranks (the remote group on an :class:`Intercomm`) whose
+        failure has been detected (empty on fault-free runs)."""
         ctl = self.world._fault_ctl
         if ctl is None:
             return ()
         detected = ctl.detected
-        return tuple(i for i, g in enumerate(self.ranks) if g in detected)
+        return tuple(i for i, g in enumerate(self._peers) if g in detected)
 
     def wait(self, req: Request, label: str = "wait") -> Generator[Any, Any, Any]:
         """Block until ``req`` completes; returns its payload.
@@ -551,29 +561,13 @@ class Comm:
         first-come-first-served stream consumption."""
         if not reqs:
             raise ValueError("waitany on empty request list")
-        for i, req in enumerate(reqs):
-            if req.done:
-                req._mark_waited()
-                payload = req.flag.payload
-                if payload.__class__ is FaultSignal:
-                    raise payload.error
-                return i, payload
         world = self.world
-        t0 = world.engine.now
-        any_flag = EventFlag(label="waitany")
-        for i, req in enumerate(reqs):
-            def waiter(idx=i, r=req):
-                payload = yield from wait_flag(r.flag)
-                if not any_flag.is_set:
-                    world.engine.set_flag(any_flag, (idx, payload))
-            yield Spawn(waiter(), name="waitany-helper")
-        idx, payload = yield from wait_flag(any_flag)
-        if payload.__class__ is FaultSignal:
-            raise payload.error
+        engine = world.engine
+        t0 = engine.now
+        idx, payload = yield from wait_any(engine, reqs)
         reqs[idx]._mark_waited()
-        if world.tracer is not None and world.engine.now > t0:
-            world.tracer.record(self._global, "wait", label, t0,
-                                world.engine.now)
+        if world.tracer is not None and engine.now > t0:
+            world.tracer.record(self._global, "wait", label, t0, engine.now)
         return idx, payload
 
     def send(self, data: Any, dest: int, tag: int = 0,
@@ -608,7 +602,7 @@ class Comm:
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG
                ) -> Optional[Status]:
         """Non-blocking probe of the unexpected queue."""
-        self._check_rank(source, wildcard=True)
+        self._check_peer(source, wildcard=True)
         self._check_tag(tag, wildcard=True)
         env = self.world.mailboxes[self._global].probe(source, tag, self.context)
         if env is None:
@@ -619,13 +613,13 @@ class Comm:
     # persistent communication (MPIStream is built on these)
     # ------------------------------------------------------------------
     def send_init(self, dest: int, tag: int = 0) -> PersistentRequest:
-        self._check_rank(dest)
+        self._check_peer(dest)
         self._check_tag(tag)
         return PersistentRequest("send", self, dest, tag)
 
     def recv_init(self, source: int = ANY_SOURCE, tag: int = ANY_TAG
                   ) -> PersistentRequest:
-        self._check_rank(source, wildcard=True)
+        self._check_peer(source, wildcard=True)
         self._check_tag(tag, wildcard=True)
         return PersistentRequest("recv", self, source, tag)
 
@@ -923,13 +917,16 @@ class Intercomm(Comm):
         self.remote_size = len(self.remote_ranks)
         super().__init__(world, ranks, my_global, context_p2p, context_coll,
                          name=name, my_local=my_local)
+        # every point-to-point operation addresses the remote group
+        self._peers = self.remote_ranks
+        self._npeers = self.remote_size
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     def remote_global_of(self, remote: int) -> int:
         """Global rank behind a remote-group rank."""
-        self._check_remote_rank(remote)
+        self._check_peer(remote)
         return self.remote_ranks[remote]
 
     @property
@@ -942,10 +939,8 @@ class Intercomm(Comm):
         return (f"Intercomm({self.name!r}, rank={self._rank}/{self.size}, "
                 f"remote={self.remote_size})")
 
-    # ------------------------------------------------------------------
-    # validation (dest/source live in the remote group)
-    # ------------------------------------------------------------------
-    def _check_remote_rank(self, r: int, wildcard: bool = False) -> None:
+    def _check_peer(self, r: int, wildcard: bool = False) -> None:
+        """dest/source ranks live in the remote group."""
         if self._freed:
             raise CommunicatorError(
                 f"operation on freed intercommunicator {self.name!r}")
@@ -957,95 +952,6 @@ class Intercomm(Comm):
             f"remote rank {r} out of range for intercommunicator "
             f"{self.name!r} with a remote group of size {self.remote_size} "
             f"(local size {self.size})")
-
-    # ------------------------------------------------------------------
-    # point-to-point, remote-rank addressed
-    # ------------------------------------------------------------------
-    def isend(self, data: Any, dest: int, tag: int = 0,
-              datatype: Optional[Datatype] = None, count: Optional[int] = None,
-              _ctx: Optional[int] = None,
-              nbytes: Optional[int] = None,
-              force_eager: bool = False) -> Generator[Any, Any, Request]:
-        if self._freed or dest < 0 or dest >= self.remote_size:
-            self._check_remote_rank(dest)
-        if tag < 0 or tag > TAG_UB:
-            self._check_tag(tag)
-        if nbytes is None:
-            nbytes = payload_nbytes(data, datatype, count)
-        world = self.world
-        delay = world._o_send_delay
-        if delay is not None:
-            yield delay
-        # lsrc is this rank's coordinate in its OWN group: that is the
-        # remote-rank value the receiving side matches against
-        return world.post_send(
-            self._global, self.remote_ranks[dest], self._rank, tag,
-            self.context if _ctx is None else _ctx, data, nbytes,
-            force_eager=force_eager,
-        )
-
-    def issend(self, data: Any, dest: int, tag: int = 0,
-               datatype: Optional[Datatype] = None, count: Optional[int] = None,
-               _ctx: Optional[int] = None) -> Generator[Any, Any, Request]:
-        self._check_remote_rank(dest)
-        self._check_tag(tag)
-        nbytes = payload_nbytes(data, datatype, count)
-        o_send = self.world._o_send
-        if o_send > 0:
-            yield Delay(o_send)
-        return self.world.post_send(
-            self._global, self.remote_ranks[dest], self._rank, tag,
-            self.context if _ctx is None else _ctx, data, nbytes,
-            synchronous=True,
-        )
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-              max_nbytes: Optional[int] = None,
-              _ctx: Optional[int] = None) -> Request:
-        if self._freed or source < ANY_SOURCE or source >= self.remote_size:
-            self._check_remote_rank(source, wildcard=True)
-        if tag > TAG_UB or tag < ANY_TAG:
-            self._check_tag(tag, wildcard=True)
-        ctl = self.world._fault_ctl
-        if ctl is not None:
-            ctl.check_recv(self, source)
-        return self.world.post_recv(
-            self._global, source, tag,
-            self.context if _ctx is None else _ctx, max_nbytes,
-        )
-
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG
-               ) -> Optional[Status]:
-        self._check_remote_rank(source, wildcard=True)
-        self._check_tag(tag, wildcard=True)
-        env = self.world.mailboxes[self._global].probe(
-            source, tag, self.context)
-        if env is None:
-            return None
-        return Status(env.src, env.tag, env.nbytes)
-
-    def send_init(self, dest: int, tag: int = 0) -> PersistentRequest:
-        self._check_remote_rank(dest)
-        self._check_tag(tag)
-        return PersistentRequest("send", self, dest, tag)
-
-    def recv_init(self, source: int = ANY_SOURCE, tag: int = ANY_TAG
-                  ) -> PersistentRequest:
-        self._check_remote_rank(source, wildcard=True)
-        self._check_tag(tag, wildcard=True)
-        return PersistentRequest("recv", self, source, tag)
-
-    # ------------------------------------------------------------------
-    # fault surface (remote group carries the traffic)
-    # ------------------------------------------------------------------
-    def failed_members(self) -> Tuple[int, ...]:
-        """Remote-group ranks whose failure has been detected."""
-        ctl = self.world._fault_ctl
-        if ctl is None:
-            return ()
-        detected = ctl.detected
-        return tuple(i for i, g in enumerate(self.remote_ranks)
-                     if g in detected)
 
     # ------------------------------------------------------------------
     # the unmodeled surface

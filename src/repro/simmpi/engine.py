@@ -44,6 +44,8 @@ from functools import partial
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
+from .errors import FaultSignal
+
 
 class Delay:
     """Syscall: resume the calling process after ``dt`` virtual seconds."""
@@ -434,3 +436,33 @@ def wait_flag(flag: EventFlag) -> Generator[WaitFlag, None, Any]:
     """Convenience coroutine: block on ``flag`` and return its payload."""
     payload = yield WaitFlag(flag)
     return payload
+
+
+def wait_any(engine: Engine, flags) -> Generator[Any, Any, Tuple[int, Any]]:
+    """Block until the first of ``flags`` (EventFlags or requests) is
+    set; return ``(index, payload)``.
+
+    An already-set flag wins at once, lowest index first.  Otherwise
+    one daemon watcher per flag waits on it, so a flag that never fires
+    cannot deadlock the run.  A payload that is a fault poison
+    (:class:`~repro.simmpi.errors.FaultSignal`) raises its error.
+    """
+    for i, flag in enumerate(flags):
+        if flag.is_set:
+            payload = flag.payload
+            if payload.__class__ is FaultSignal:
+                raise payload.error
+            return i, payload
+    any_flag = EventFlag(label="waitany")
+
+    def watcher(idx: int, flag: EventFlag) -> Generator[Any, Any, None]:
+        payload = yield WaitFlag(flag)
+        if not any_flag.is_set:
+            engine.set_flag(any_flag, (idx, payload))
+
+    for i, flag in enumerate(flags):
+        yield Spawn(watcher(i, flag), name="waitany-helper", daemon=True)
+    idx, payload = yield WaitFlag(any_flag)
+    if payload.__class__ is FaultSignal:
+        raise payload.error
+    return idx, payload

@@ -98,7 +98,7 @@ def test_suite_compare_merges_before(tmp_path):
 
 
 def test_committed_quickstart_golden_matches():
-    """CI's perf-smoke gate, run as a unit test too: the committed
+    """CI's quickstart golden gate, run as a unit test too: the committed
     golden must match what the simulator produces today."""
     golden = os.path.join(os.path.dirname(__file__), "..", "..",
                           "benchmarks", "golden", "quickstart_perf.json")
@@ -107,9 +107,10 @@ def test_committed_quickstart_golden_matches():
 
 
 def test_committed_fault_recovery_golden_matches():
-    """CI's fault-smoke gate, run as a unit test too: the crash+recover
-    scenario's virtual-time digest must match the committed golden —
-    recovery-timing drift fails exactly like fabric drift."""
+    """CI's fault-recovery golden gate, run as a unit test too: the
+    crash+recover scenario's virtual-time digest must match the
+    committed golden — recovery-timing drift fails exactly like
+    fabric drift."""
     golden = os.path.join(os.path.dirname(__file__), "..", "..",
                           "benchmarks", "golden",
                           "fault_recovery_perf.json")

@@ -1,6 +1,12 @@
 """The coupled-hub workload: exactly-once delivery, scale-ratio math,
 and deterministic recovery from a crashed translator rank."""
 
+import json
+import os
+import subprocess
+import sys
+
+import repro
 from repro.cosim import CosimConfig, HubSpec, cosim_worker
 from repro.simmpi import quiet_testbed
 from repro.simmpi.launcher import run
@@ -64,3 +70,46 @@ def test_default_hub_spec():
     hubs = _by_role(sim, "hub")
     assert hubs, "a default HubSpec still places hub ranks"
     assert sum(m["received"] for m in _by_role(sim, "macro")) > 0
+
+
+#: run in a child interpreter capped at 1 GiB of address space: a hub
+#: that spins on a poisoned receive grows without bound, and the cap
+#: turns that into a prompt failure instead of exhausting the host
+_A_SIDE_CRASH_CHILD = """
+import json, resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from repro.cosim import CosimConfig, HubSpec, cosim_worker
+from repro.simmpi import quiet_testbed
+from repro.simmpi.launcher import run
+spec = HubSpec(size=2, buffer_depth=2, transform_seconds=1e-6,
+               scale_ratio=3, element_bytes=2048)
+cfg = CosimConfig(nprocs=10, elements_per_producer=24,
+                  produce_seconds=2e-6)
+base = run(cosim_worker, 10, args=(cfg, spec), machine=quiet_testbed())
+plan = {"events": [{"kind": "crash", "time": 0.5 * base.elapsed,
+                    "rank": 1}]}
+sim = run(cosim_worker, 10, args=(cfg, spec), machine=quiet_testbed(),
+          faults=plan)
+macros = [v for v in sim.values if v and v.get("role") == "macro"]
+print(json.dumps({
+    "failed": sorted(sim.extras["faults"]["failed"]),
+    "duplicates": sum(m.get("duplicates", 0) for m in macros),
+}))
+"""
+
+
+def test_crashed_a_side_port_rank_does_not_spin_the_hub():
+    """Rank 1 (an A-side port rank) dies mid-stream.  Its hub must
+    re-post the wildcard receive the failure poisoned, and stop waiting
+    for the dead producer's TERM, so the run ends normally."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    # one BLAS thread: per-thread buffers would eat into the 1 GiB cap
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _A_SIDE_CRASH_CHILD],
+                          capture_output=True, text=True, timeout=60,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out == {"failed": [1], "duplicates": 0}

@@ -201,7 +201,7 @@ def test_collective_with_dead_member_resolves_via_revoke():
     assert sorted(r.values[:2]) == ["failed", "revoked"]
 
 
-def test_revoke_requires_fault_mode():
+def test_revoke_requires_a_fault_plan():
     from repro.simmpi import CommunicatorError
 
     def prog(comm):

@@ -6,7 +6,8 @@ from dataclasses import replace
 import pytest
 
 from repro.api import Simulation, StreamGraph
-from repro.faults import Checkpoint, FaultPlan, RankCrash
+from repro.bench.perf import result_digest
+from repro.faults import Checkpoint, FaultPlan, RankCrash, Slowdown
 from repro.faults.apps import (
     CGHaloRecoveryConfig,
     PcommRecoveryConfig,
@@ -365,3 +366,57 @@ def test_rendezvous_faces_survive_any_helper_crash():
         problems += [f"seed {seed}: {p}" for p in _audit(
             stores, dead, FACE_PROCS - FACE_HELPERS, FACE_ELEMENTS)]
     assert not problems, "\n".join(problems)
+
+
+def _cg_checkpointed(machine, **kw):
+    cfg = CGHaloRecoveryConfig(nprocs=32, checkpoint_interval=8)
+    return run(cg_halo_recovery, 32, args=(cfg,), machine=machine, **kw)
+
+
+def test_checkpointed_stream_traces_producer_waits():
+    """A checkpointed stream records its producers' window and flush
+    waits exactly like a plain stream does."""
+    r = _cg_checkpointed(beskow(), trace=True)
+    assert r.tracer.by_label("stream-window")
+    assert r.tracer.by_label("stream-flush")
+
+
+def _quiet_beskow():
+    """Beskow with its noise model off: a pinned digest must not depend
+    on NumPy's non-uniform samplers, which NEP 19 lets change between
+    releases (the committed perf goldens avoid them the same way)."""
+    m = beskow()
+    return m.with_(noise=replace(m.noise, persistent_skew=0.0,
+                                 quantum_fraction=0.0))
+
+
+def _pcomm_crash_traced():
+    cfg = PcommRecoveryConfig(nprocs=32, checkpoint_interval=32)
+    free = run(pcomm_recovery, 32, args=(cfg,), machine=_quiet_beskow())
+    return run(pcomm_recovery, 32, args=(cfg,), machine=_quiet_beskow(),
+               faults=FaultPlan([RankCrash(0.4 * free.elapsed, -1)]),
+               trace=True)
+
+
+def _cg_straggler():
+    free = _cg_checkpointed(quiet_testbed())
+    return _cg_checkpointed(
+        quiet_testbed(),
+        faults=FaultPlan([Slowdown(0.0, 0.5 * free.elapsed, 3, 3.0)]))
+
+
+@pytest.mark.parametrize("simulate, digest", [
+    # checkpointing without a fault controller
+    (lambda: _cg_checkpointed(_quiet_beskow(), trace=True),
+     "dfbd1a3fb777b4abf5689fa1ac1f8dda563282ad6762fded302c86dcf250482f"),
+    # a straggler window on a noise-free machine with no tracer: the
+    # producers' injection charge must still be stretched
+    (_cg_straggler,
+     "46a1c4adcb7edc73cbefdf66f857edfeb3b74a942b8ad555e86c6ca868505c2d"),
+    # a helper crash with checkpoint replay, traced
+    (_pcomm_crash_traced,
+     "289a38917e5eb13546db2c16827ca5417a70775fadf4246912a07eabec6650e2"),
+], ids=["cg-checkpoint-traced", "cg-straggler", "pcomm-crash-traced"])
+def test_stream_path_digests_are_pinned(simulate, digest):
+    """Virtual-time digests of stream paths no committed golden covers."""
+    assert result_digest(simulate()) == digest

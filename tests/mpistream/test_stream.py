@@ -10,11 +10,7 @@ from repro.mpistream import (
     attach,
     create_channel,
 )
-from repro.mpistream.channel import (
-    DENSE_PEERS,
-    blocked_fan_in,
-    blocked_peers,
-)
+from repro.mpistream.channel import blocked_fan_in, blocked_peers
 from repro.simmpi import beskow, quiet_testbed, run
 from repro.simmpi.errors import CommunicatorError, RequestError
 
@@ -117,14 +113,11 @@ def test_multiple_consumers_blocked_routing():
 def test_blocked_peer_table_is_shared_and_dense_at_scale():
     assert list(blocked_peers(6, 2)) == [0, 0, 0, 1, 1, 1]
     assert list(blocked_fan_in(5, 3)) == [2, 2, 1]
-    table = blocked_peers(DENSE_PEERS, 4)
-    np = pytest.importorskip("numpy")
-    assert isinstance(table, np.ndarray)
+    table = blocked_peers(256, 4)
     # cached: same shape returns the same object
-    assert blocked_peers(DENSE_PEERS, 4) is table
-    # and agrees with the list form's formula
-    assert isinstance(blocked_peers(DENSE_PEERS - 1, 4), list)
-    assert int(table[100]) == 100 * 4 // DENSE_PEERS
+    assert blocked_peers(256, 4) is table
+    # and follows the blocked distribution's formula
+    assert table[100] == 100 * 4 // 256
 
 
 def test_custom_router_by_key():

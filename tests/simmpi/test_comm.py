@@ -222,6 +222,21 @@ def test_waitany_returns_first_completion():
     assert r.values[0] == (1, 2)  # rank2's message (req index 1) wins
 
 
+def test_waitany_loser_that_never_completes_does_not_deadlock():
+    """The watcher left on a losing request is a daemon: a request that
+    never completes must not turn a finished run into a deadlock."""
+    def prog(comm):
+        if comm.rank == 0:
+            reqs = [comm.irecv(1, tag=1), comm.irecv(1, tag=2)]
+            idx, (data, _st) = yield from comm.waitany(reqs)
+            return (idx, data)
+        yield from comm.send("x", dest=0, tag=1)
+        return None
+
+    r = run(prog, 2)
+    assert r.values[0] == (0, "x")
+
+
 def test_double_wait_rejected():
     from repro.simmpi.errors import RequestError
 
