@@ -9,8 +9,9 @@ alpha should sit in the paper's 3-12% band.
 import pytest
 
 from repro.apps.mapreduce import MapReduceConfig, decoupled_worker
-from repro.bench.harness import Series, max_elapsed, save_artifact
+from repro.bench.harness import Series, save_artifact
 from repro.simmpi import beskow, run
+from repro.study.registry import apply_extract
 
 NPROCS = 256
 ALPHAS = (1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4)
@@ -24,7 +25,7 @@ def test_alpha_sweep(benchmark):
             cfg = MapReduceConfig(nprocs=NPROCS, alpha=alpha)
             result = run(decoupled_worker, NPROCS, args=(cfg,),
                          machine=beskow())
-            out[alpha] = max_elapsed(result)
+            out[alpha] = apply_extract("max_elapsed", result)
         return out
 
     times = benchmark.pedantic(experiment, rounds=1, iterations=1)

@@ -21,18 +21,16 @@ from typing import Callable, Optional, Union
 from ..core.model import auto_size_plan
 from ..mpistream.channel import blocked_fan_in
 from ..simmpi.config import (
+    PRESETS as MACHINE_PRESETS,
     MachineConfig,
     NoiseConfig,
     TopologyConfig,
-    beskow,
-    ideal_network_testbed,
     quiet_testbed,
     resolve_topology,
 )
 from ..simmpi.errors import PlacementError
 from ..simmpi.placement import (
-    ColocatedPlacement,
-    PartitionedPlacement,
+    PLAN_PLACEMENTS,
     PlacementPolicy,
     resolve_placement,
 )
@@ -41,33 +39,18 @@ from .errors import GraphError
 from .graph import CompiledGraph, StreamGraph
 from .report import Report
 
-#: placement names that need a compiled plan's group blocks
-_PLAN_PLACEMENTS = {
-    "colocated": ColocatedPlacement,
-    "partitioned": PartitionedPlacement,
-}
-
 
 def plan_placement(kind: str, plan) -> PlacementPolicy:
     """Build a group-aware placement policy from a validated
     :class:`~repro.core.groups.DecouplingPlan`'s rank blocks."""
-    factory = _PLAN_PLACEMENTS.get(kind)
+    factory = PLAN_PLACEMENTS.get(kind)
     if factory is None:
         raise GraphError(
             f"unknown plan placement {kind!r}; "
-            f"choose from {sorted(_PLAN_PLACEMENTS)}")
+            f"choose from {sorted(PLAN_PLACEMENTS)}")
     blocks = [(name, spec.first_rank, spec.size)
               for name, spec in plan.groups.items()]
     return factory(blocks)
-
-#: machine presets accepted by name
-MACHINE_PRESETS = {
-    "beskow": beskow,
-    "quiet": quiet_testbed,
-    "quiet_testbed": quiet_testbed,
-    "ideal": ideal_network_testbed,
-    "ideal_network": ideal_network_testbed,
-}
 
 
 def _resolve_machine(machine: Union[None, str, MachineConfig],
@@ -168,7 +151,7 @@ class Simulation:
         #: the compiled graph's plan to know the group rank blocks
         self._plan_placement = (placement
                                 if isinstance(placement, str)
-                                and placement in _PLAN_PLACEMENTS else None)
+                                and placement in PLAN_PLACEMENTS else None)
         if placement is not None and self._plan_placement is None:
             try:
                 machine_cfg = machine_cfg.with_(

@@ -16,7 +16,6 @@ from .figures import (
 from .harness import (
     DEFAULT_POINTS,
     Series,
-    max_elapsed,
     render_table,
     save_artifact,
     scale_points,
@@ -35,6 +34,6 @@ __all__ = [
     "DEFAULT_POINTS", "PERF_SCENARIOS", "PerfError", "PerfRecord", "Series",
     "check_golden", "fig2_traces", "fig3_execution_models", "fig5_mapreduce",
     "fig6_cg", "fig7_pcomm", "fig8_pio", "fig_placement", "fig_recovery",
-    "max_elapsed", "render_table", "run_scenario", "run_suite",
+    "render_table", "run_scenario", "run_suite",
     "save_artifact", "scale_points", "verify_against_oracle",
 ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 #: the paper's x-axis is 32..8192 doubling; we sweep the same range with
 #: x4 steps to keep the full suite tractable (shape is preserved)
@@ -79,21 +79,6 @@ class Series:
         ``P=p``: ``other / self`` (> 1 means this one is faster —
         y-values are execution times, so smaller wins)."""
         return other.value(p) / self.value(p)
-
-
-def max_elapsed(result) -> float:
-    """Slowest rank's reported elapsed time (the figure metric)."""
-    return max(v["elapsed"] for v in result.values)
-
-
-def max_field(name: str, role: Optional[str] = None) -> Callable:
-    def _extract(result) -> float:
-        vals = [
-            v[name] for v in result.values
-            if role is None or v.get("role") == role
-        ]
-        return max(vals)
-    return _extract
 
 
 # ----------------------------------------------------------------------

@@ -89,6 +89,12 @@ def _unwrap(data: Any) -> Any:
     return data.data if isinstance(data, SizedPayload) else data
 
 
+def _poisoned(req) -> bool:
+    """A request a failure resolved: it carries no message, re-post it."""
+    return (req is not None and req.is_set
+            and req.payload.__class__ is FaultSignal)
+
+
 # ----------------------------------------------------------------------
 # simulator-side ports
 # ----------------------------------------------------------------------
@@ -165,23 +171,29 @@ class APort:
                 yield from self._recover()
 
     def _pump(self, block: bool) -> Generator[Any, Any, None]:
-        """Reap finished sends and process acks (optionally blocking)."""
+        """Reap finished sends and apply every ack that has arrived; with
+        ``block``, also wait for one more ack.
+
+        A request leaves ``_ack_req`` before it is waited on and its ack
+        is applied before the re-post, so a failure interrupting the
+        re-post can neither lose the ack nor let ``_recover`` wait on
+        the consumed request again."""
+        inter = self.inter
+        waited = False
         try:
             reqs = self._send_reqs
             while reqs and reqs[0].done:
-                yield from self.inter.wait(reqs.popleft())
-            if self._ack_req is None:
-                self._ack_req = self.inter.irecv(
-                    source=ANY_SOURCE, tag=TAG_ACK)
-            while self._ack_req.done:
-                data, _st = yield from self.inter.wait(self._ack_req)
-                self._apply_ack(_unwrap(data))
-                self._ack_req = self.inter.irecv(
-                    source=ANY_SOURCE, tag=TAG_ACK)
-            if block:
-                data, _st = yield from self.inter.wait(self._ack_req)
-                self._ack_req = self.inter.irecv(
-                    source=ANY_SOURCE, tag=TAG_ACK)
+                yield from inter.wait(reqs.popleft())
+            while True:
+                if self._ack_req is None:
+                    self._ack_req = inter.irecv(source=ANY_SOURCE,
+                                                tag=TAG_ACK)
+                req = self._ack_req
+                if waited or not (block or req.done):
+                    return
+                waited = not req.done
+                self._ack_req = None
+                data, _st = yield from inter.wait(req)
                 self._apply_ack(_unwrap(data))
         except (ProcessFailedError, RevokedError):
             yield from self._recover()
@@ -212,8 +224,7 @@ class APort:
                 f"rank(s); producer {self.me} cannot recover")
         # salvage an ack that completed normally before the poison sweep
         req, self._ack_req = self._ack_req, None
-        if req is not None and req.is_set \
-                and req.payload.__class__ is not FaultSignal:
+        if req is not None and req.is_set and not _poisoned(req):
             data, _st = yield from self.inter.wait(req)
             self._apply_ack(_unwrap(data))
         # poisoned or already-matched in-flight sends are superseded by
@@ -336,6 +347,8 @@ def hub_main(hubcomm, inter_a, inter_b, win, spec: HubSpec,
     replay_digest: Optional[str] = None
     stats = {"received": 0, "duplicates": 0, "forwarded": 0, "batches": 0,
              "mirrors": 0}
+    #: the returned record; a standby refreshes it in place
+    record: Dict[str, Any] = {"role": "hub", "hub": h}
 
     cell: Dict[str, Any] = {
         "work": EventFlag(label=("hub-work:", h)),
@@ -365,31 +378,35 @@ def hub_main(hubcomm, inter_a, inter_b, win, spec: HubSpec,
                 return None if cand == idx else cand
         return None
 
+    def seal(producer: int) -> Tuple:
+        """Close ``producer``'s micro group into its owner's next macro."""
+        owner = producer % H
+        mseq = macro_next.get(owner, 0)
+        macro_next[owner] = mseq + 1
+        size = len(carry[producer])
+        carry[producer] = []
+        return owner, mseq, ("macro", producer, mseq, size)
+
     def aggregate(producer: int, element: Any) -> Optional[Tuple]:
         """Accumulate one micro element; a full group yields a macro."""
         acc = carry.setdefault(producer, [])
         acc.append(element)
-        if len(acc) < spec.scale_ratio:
-            return None
-        owner = producer % H
-        mseq = macro_next.get(owner, 0)
-        macro_next[owner] = mseq + 1
-        macro = (owner, mseq, ("macro", producer, mseq, len(acc)))
-        carry[producer] = []
-        return macro
+        return seal(producer) if len(acc) >= spec.scale_ratio else None
+
+    def send_b(owner: int, payload, tag: int) -> Generator[Any, Any, None]:
+        try:
+            req = yield from inter_b.issend(
+                payload, dest=consumer_of(owner, n_consumers, H), tag=tag)
+            yield from inter_b.wait(req)
+        except (ProcessFailedError, RevokedError):
+            # consumer-side failures are outside the recovery story;
+            # acknowledge and drop
+            inter_b.failure_ack()
 
     def forward(macros) -> Generator[Any, Any, None]:
         for owner, mseq, body in macros:
-            dest = consumer_of(owner, n_consumers, H)
-            try:
-                req = yield from inter_b.issend(
-                    SizedPayload((owner, mseq, body), spec.element_bytes),
-                    dest=dest, tag=TAG_DATA)
-                yield from inter_b.wait(req)
-            except (ProcessFailedError, RevokedError):
-                # consumer-side failures are outside the recovery story;
-                # acknowledge and drop
-                inter_b.failure_ack()
+            yield from send_b(owner, SizedPayload(
+                (owner, mseq, body), spec.element_bytes), TAG_DATA)
         stats["forwarded"] += len(macros)
 
     def mirror(pending) -> Generator[Any, Any, None]:
@@ -410,15 +427,22 @@ def hub_main(hubcomm, inter_a, inter_b, win, spec: HubSpec,
                                       .values())
         nbytes = min(_MIRROR_HEADER_BYTES
                      + spec.element_bytes * buffered, slot_bytes)
+        # a successor that dies mid-mirror is skipped: the next batch
+        # re-aims.  A granted lock is released even when the put fails,
+        # or the next mirror would find the epoch still open
         try:
             yield from win.lock(succ)
+        except (ProcessFailedError, RevokedError):
+            return
+        try:
             req = yield from win.put(snapshot, succ, offset=h * slot_bytes,
                                      nbytes=nbytes)
-            yield from win.unlock(succ)
+        except (ProcessFailedError, RevokedError):
+            req = None
+        yield from win.unlock(succ)
+        if req is not None:
             yield from hubcomm.wait(req)
             stats["mirrors"] += 1
-        except (ProcessFailedError, RevokedError):
-            pass  # successor died mid-mirror; the next batch re-aims
 
     def send_ack(producer: int, up_to: int) -> Generator[Any, Any, None]:
         try:
@@ -488,102 +512,45 @@ def hub_main(hubcomm, inter_a, inter_b, win, spec: HubSpec,
             if next_alive_after(d) == h:
                 yield from adopt(d)
 
-    # --- the drainer (daemon coroutine: overlap receive with drain) ----
-    def drainer() -> Generator[Any, Any, None]:
+    def post(comm) -> Generator[Any, Any, Any]:
+        """Post a wildcard receive on ``comm`` — the only way this rank
+        (re-)posts one.  A failure detected since the last
+        ``failure_ack`` interrupts the post; recover, then retry."""
         while True:
-            work = cell["work"]
-            yield WaitFlag(work)
-            if cell["stop"]:
-                return
-            if ctl is not None and my_global in ctl.failed:
-                return  # owner crashed under us; go quiet
-            batch = cell["batch"]
-            nominal = spec.transform_seconds * len(batch)
-            if nominal > 0:
-                yield from hubcomm.compute(nominal, label="hub-transform")
-            if ctl is not None and my_global in ctl.failed:
-                return
-            macros = []
-            for producer, seq, element in batch:
-                macro = aggregate(producer, element)
-                if macro is not None:
-                    macros.append(macro)
-                if seq >= absorbed.get(producer, 0):
-                    absorbed[producer] = seq + 1
-            # mirror BEFORE forwarding and acking: once a producer sees
-            # the ack it will never replay, so the state must already
-            # be safe in the successor's window
-            yield from mirror(macros)
-            yield from forward(macros)
-            acks: Dict[int, int] = {}
-            for producer, seq, _element in batch:
-                if seq > acks.get(producer, -1):
-                    acks[producer] = seq
-            for producer, up_to in sorted(acks.items()):
-                yield from send_ack(producer, up_to)
-            stats["batches"] += 1
-            cell["busy"] = False
-            engine.set_flag(cell["done"])
+            try:
+                return comm.irecv(source=ANY_SOURCE, tag=ANY_TAG)
+            except (ProcessFailedError, RevokedError):
+                yield from recover()
 
-    yield Spawn(drainer(), name=f"hub-drainer-{h}", daemon=True)
-
-    def dispatch() -> None:
-        cell["batch"] = list(fill)
-        del fill[:]
-        cell["busy"] = True
-        cell["done"] = EventFlag(label=("hub-done:", h))
-        work = cell["work"]
-        cell["work"] = EventFlag(label=("hub-work:", h))
-        engine.set_flag(work)
-
-    # --- the receive loop ----------------------------------------------
-    # sentinel: nothing is ever sent on the hub intracomm, so this
-    # wildcard receive completes only when the poison sweep cancels it —
-    # a pure failure detector
-    r_sent = hubcomm.irecv(source=ANY_SOURCE, tag=ANY_TAG)
-    r_data = None
-    while True:
-        if terms_covered() and not fill and not cell["busy"]:
-            break
-        if not cell["busy"] and fill:
-            dispatch()
-            continue
-        flags: List[Any] = [r_sent]
-        if cell["busy"]:
-            flags.append(cell["done"])
-        want_recv = len(fill) < spec.buffer_depth and not terms_covered()
-        if want_recv:
-            if r_data is None:
-                try:
-                    r_data = inter_a.irecv(source=ANY_SOURCE, tag=ANY_TAG)
-                except (ProcessFailedError, RevokedError):
-                    yield from recover()
-                    continue
-            flags.append(r_data)
+    def wait_or_recover(flags
+                        ) -> Generator[Any, Any, Optional[Tuple[int, Any]]]:
+        """``wait_any`` over ``flags``; a failure it reports is
+        recovered from and returns None (the caller re-posts what the
+        failure poisoned)."""
         try:
-            idx, payload = yield from wait_any(engine, flags)
+            return (yield from wait_any(engine, flags))
         except (ProcessFailedError, RevokedError):
             yield from recover()
-            if r_sent.is_set:
-                r_sent = hubcomm.irecv(source=ANY_SOURCE, tag=ANY_TAG)
-            if r_data is not None and r_data.is_set \
-                    and r_data.payload.__class__ is FaultSignal:
-                # an A-side producer died: the poisoned wildcard would
-                # re-raise on every pass without yielding; re-post it
-                r_data = None
-            continue
-        hit = flags[idx]
-        if hit is r_sent:  # pragma: no cover - poison path raises instead
-            r_sent = hubcomm.irecv(source=ANY_SOURCE, tag=ANY_TAG)
-            continue
-        if hit is not r_data:
-            continue  # drainer finished; loop decides what to do next
-        r_data = None
+            return None
+
+    def reposted(sentinel, data) -> Generator[Any, Any, Tuple[Any, Any]]:
+        """The one rule for requests a failure may have resolved: a
+        poisoned one carries no message and is re-posted (the data
+        receive lazily, once it is wanted again: None); one that
+        completed with a message is kept, to be consumed exactly once."""
+        if _poisoned(sentinel):
+            sentinel = yield from post(hubcomm)
+        return sentinel, (None if _poisoned(data) else data)
+
+    def accept(payload) -> Generator[Any, Any, Optional[Tuple]]:
+        """Take one matched A-side message: note a TERM, adopt the dead
+        owner of redirected traffic, re-ack a duplicate, or return the
+        new ``(producer, seq, element)``."""
         data, st = payload
         body = _unwrap(data)
         if st.tag == TAG_TERM:
             terms.add(body[0])
-            continue
+            return None
         producer, seq, element = body
         owner = producer % H
         if owner not in owned_set:
@@ -602,29 +569,48 @@ def hub_main(hubcomm, inter_a, inter_b, win, spec: HubSpec,
             done_through = absorbed.get(producer, 0)
             if done_through > 0:
                 yield from send_ack(producer, done_through - 1)
-            continue
+            return None
         seen[producer] = seq + 1
         stats["received"] += 1
-        fill.append((producer, seq, element))
+        return producer, seq, element
 
-    # --- drain leftovers and terminate --------------------------------
-    cell["stop"] = True
-    engine.set_flag(cell["work"])
+    def drain(batch) -> Generator[Any, Any, bool]:
+        """Transform, aggregate, mirror, forward and ack one batch;
+        False if this rank crashed meanwhile (it then goes quiet)."""
+        if ctl is not None and my_global in ctl.failed:
+            return False
+        nominal = spec.transform_seconds * len(batch)
+        if nominal > 0:
+            yield from hubcomm.compute(nominal, label="hub-transform")
+        if ctl is not None and my_global in ctl.failed:
+            return False
+        macros = []
+        for producer, seq, element in batch:
+            macro = aggregate(producer, element)
+            if macro is not None:
+                macros.append(macro)
+            if seq >= absorbed.get(producer, 0):
+                absorbed[producer] = seq + 1
+        # mirror BEFORE forwarding and acking: once a producer sees the
+        # ack it will never replay, so the state must already be safe
+        # in the successor's window
+        yield from mirror(macros)
+        yield from forward(macros)
+        acks: Dict[int, int] = {}
+        for producer, seq, _element in batch:
+            if seq > acks.get(producer, -1):
+                acks[producer] = seq
+        for producer, up_to in sorted(acks.items()):
+            yield from send_ack(producer, up_to)
+        stats["batches"] += 1
+        return True
 
     def flush_and_term(owners) -> Generator[Any, Any, None]:
         """Flush partial macro groups owned by ``owners`` and send each
         of those identities' TERM to its consumer."""
         owners_set = set(owners)
-        tail = []
-        for producer in sorted(carry):
-            acc = carry[producer]
-            if not acc or producer % H not in owners_set:
-                continue
-            owner = producer % H
-            mseq = macro_next.get(owner, 0)
-            macro_next[owner] = mseq + 1
-            tail.append((owner, mseq, ("macro", producer, mseq, len(acc))))
-            carry[producer] = []
+        tail = [seal(p) for p in sorted(carry)
+                if carry[p] and p % H in owners_set]
         if tail:
             nominal = spec.transform_seconds * sum(t[2][3] for t in tail)
             if nominal > 0:
@@ -632,28 +618,10 @@ def hub_main(hubcomm, inter_a, inter_b, win, spec: HubSpec,
             yield from mirror(tail)
             yield from forward(tail)
         for owner in owners:
-            dest = consumer_of(owner, n_consumers, H)
-            try:
-                req = yield from inter_b.issend(
-                    SizedPayload(("term", (owner,)), _CTL_BYTES),
-                    dest=dest, tag=TAG_TERM)
-                yield from inter_b.wait(req)
-            except (ProcessFailedError, RevokedError):
-                inter_b.failure_ack()
+            yield from send_b(owner, SizedPayload(("term", (owner,)),
+                                                  _CTL_BYTES), TAG_TERM)
 
-    yield from flush_and_term(list(owned))
-
-    record = {
-        "role": "hub", "hub": h,
-        "owned": tuple(owned),
-        "adopted": tuple(o for o in owned if o != h),
-        "adopted_pending": adopted_pending,
-        "replay_digest": replay_digest,
-        "terms": len(terms),
-        **stats,
-    }
-
-    def refresh_record() -> None:
+    def refresh_record() -> Dict[str, Any]:
         record.update(
             owned=tuple(owned),
             adopted=tuple(o for o in owned if o != h),
@@ -662,105 +630,98 @@ def hub_main(hubcomm, inter_a, inter_b, win, spec: HubSpec,
             terms=len(terms),
             **stats,
         )
+        return record
 
-    def standby(sentinel) -> Generator[Any, Any, None]:
+    # --- the drainer (daemon coroutine: overlap receive with drain) ----
+    def drainer() -> Generator[Any, Any, None]:
+        while True:
+            yield WaitFlag(cell["work"])
+            if cell["stop"] or not (yield from drain(cell["batch"])):
+                return
+            cell["busy"] = False
+            engine.set_flag(cell["done"])
+
+    yield Spawn(drainer(), name=f"hub-drainer-{h}", daemon=True)
+
+    def dispatch() -> None:
+        cell["batch"] = list(fill)
+        del fill[:]
+        cell["busy"] = True
+        cell["done"] = EventFlag(label=("hub-done:", h))
+        work = cell["work"]
+        cell["work"] = EventFlag(label=("hub-work:", h))
+        engine.set_flag(work)
+
+    # --- the receive loop ----------------------------------------------
+    # sentinel: nothing is ever sent on the hub intracomm, so this
+    # wildcard receive completes only when the poison sweep cancels it —
+    # a pure failure detector
+    r_sent = yield from post(hubcomm)
+    r_data = None
+    while True:
+        if terms_covered() and not fill and not cell["busy"]:
+            break
+        if not cell["busy"] and fill:
+            dispatch()
+            continue
+        flags: List[Any] = [r_sent]
+        if cell["busy"]:
+            flags.append(cell["done"])
+        if len(fill) < spec.buffer_depth and not terms_covered():
+            if r_data is None:
+                r_data = yield from post(inter_a)
+            flags.append(r_data)
+        got = yield from wait_or_recover(flags)
+        if got is None:
+            r_sent, r_data = yield from reposted(r_sent, r_data)
+        elif flags[got[0]] is r_data:
+            r_data = None
+            item = yield from accept(got[1])
+            if item is not None:
+                fill.append(item)
+        # else the drainer finished; the loop decides what to do next
+
+    # --- drain leftovers and terminate --------------------------------
+    cell["stop"] = True
+    engine.set_flag(cell["work"])
+    yield from flush_and_term(list(owned))
+
+    def standby(sentinel, stray, flushed: int) -> Generator[Any, Any, None]:
         """Daemon watcher left behind after a clean exit.
 
-        Two things can still arrive once this rank's own producers have
-        all TERMed.  A peer translator can die *after* this rank
-        finished but before the failure is detected; with every
-        finished rank gone, nobody would adopt the dead rank's identity
-        and its producers and consumer would hang — the hubcomm
-        sentinel detects that, and the cyclic successor serves the
-        inherited producers to completion.  And a producer whose
-        rendezvous was matched right at the crash instant re-sends a
-        TERM or element this rank already has on record — the wildcard
-        intercomm receive matches those strays so the producer
-        unblocks, re-acking where the original ack was lost.  Either
-        way the already-returned record is refreshed in place.
+        A peer translator can die *after* this rank finished; the
+        hubcomm sentinel detects that, and the cyclic successor serves
+        the inherited producers to completion, then flushes and TERMs
+        the inherited identities (``owned[flushed:]``).  And a producer
+        whose rendezvous was matched right at the crash instant re-sends
+        a TERM or element this rank already has on record; the wildcard
+        intercomm receive matches those strays so the producer unblocks,
+        re-acked where the original ack was lost.  Messages go through
+        ``accept`` and ``drain`` (one element per batch), and the
+        already-returned record is refreshed in place after every step.
         """
-        to_flush: List[int] = []
-
-        def note_adoptions(before: int) -> None:
-            if len(owned) > before:
-                to_flush.extend(owned[before:])
-                refresh_record()
-
-        def serve_one(payload) -> Generator[Any, Any, None]:
-            """One post-exit intercomm message, drained inline (the
-            double buffer died with the main loop; overlap no longer
-            matters here)."""
-            data, st = payload
-            body = _unwrap(data)
-            if st.tag == TAG_TERM:
-                terms.add(body[0])
-                refresh_record()
-                return
-            producer, seq, element = body
-            owner = producer % H
-            if owner not in owned_set:
-                # redirected traffic can outrun the sentinel poison
-                before = len(owned)
-                yield from recover()
-                if owner not in owned_set:
-                    yield from adopt(owner)
-                    handled_deaths.add(owner)
-                note_adoptions(before)
-            if seq < seen.get(producer, 0):
-                stats["duplicates"] += 1
-                done_through = absorbed.get(producer, 0)
-                if done_through > 0:
-                    yield from send_ack(producer, done_through - 1)
-                refresh_record()
-                return
-            seen[producer] = seq + 1
-            stats["received"] += 1
-            if spec.transform_seconds > 0:
-                yield from hubcomm.compute(spec.transform_seconds,
-                                           label="hub-transform")
-            macro = aggregate(producer, element)
-            macros = [macro] if macro is not None else []
-            absorbed[producer] = seq + 1
-            yield from mirror(macros)
-            if macros:
-                yield from forward(macros)
-            yield from send_ack(producer, seq)
-            stats["batches"] += 1
-            # the engine halts the instant the last main process ends,
-            # discarding whatever this daemon still had scheduled — so
-            # the returned record must be current after every step, not
-            # refreshed once at the end
-            refresh_record()
-
-        stray = None
         while True:
-            try:
-                if stray is None:
-                    stray = inter_a.irecv(source=ANY_SOURCE, tag=ANY_TAG)
-                idx, payload = yield from wait_any(engine, [sentinel, stray])
-            except (ProcessFailedError, RevokedError):
-                before = len(owned)
-                yield from recover()
-                note_adoptions(before)
-                if sentinel.is_set:
-                    sentinel = hubcomm.irecv(source=ANY_SOURCE,
-                                             tag=ANY_TAG)
-                if stray is not None and stray.is_set:
-                    stray = None
-            else:
-                if idx == 0:
-                    return  # unreachable: nothing is sent on the intracomm
-                stray = None
-                yield from serve_one(payload)
-            if to_flush and terms_covered():
-                owners = list(to_flush)
-                del to_flush[:]
+            if len(owned) > flushed and terms_covered():
+                owners, flushed = owned[flushed:], len(owned)
                 yield from flush_and_term(owners)
-                refresh_record()
+            refresh_record()
+            if stray is None:
+                stray = yield from post(inter_a)
+            got = yield from wait_or_recover([sentinel, stray])
+            if got is None:
+                sentinel, stray = yield from reposted(sentinel, stray)
+                continue
+            stray = None
+            item = yield from accept(got[1])
+            if item is not None and not (yield from drain([item])):
+                return
 
     if ctl is not None and H > 1:
-        if r_sent.is_set:
-            r_sent = hubcomm.irecv(source=ANY_SOURCE, tag=ANY_TAG)
-        yield Spawn(standby(r_sent), name=f"hub-standby-{h}", daemon=True)
-
-    return record
+        # the sentinel may have been poisoned after the loop's last
+        # wait; a data receive still posted is handed over, so whatever
+        # it matched is consumed, not lost
+        flushed = len(owned)
+        r_sent, r_data = yield from reposted(r_sent, r_data)
+        yield Spawn(standby(r_sent, r_data, flushed),
+                    name=f"hub-standby-{h}", daemon=True)
+    return refresh_record()

@@ -20,7 +20,7 @@ persist it in scenario files.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 from .placement import (
     Placement,
@@ -384,3 +384,14 @@ def ideal_network_testbed() -> MachineConfig:
     )
     cfg.validate()
     return cfg
+
+
+#: machine presets accepted by name (``Simulation(machine=...)`` and a
+#: study machine spec's ``preset``)
+PRESETS: Dict[str, Callable[[], MachineConfig]] = {
+    "beskow": beskow,
+    "quiet": quiet_testbed,
+    "quiet_testbed": quiet_testbed,
+    "ideal": ideal_network_testbed,
+    "ideal_network": ideal_network_testbed,
+}

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from .comm import Comm, World
-from .config import MachineConfig, quiet_testbed, resolve_topology
+from .config import MachineConfig, quiet_testbed
 from .engine import Engine
-from .placement import resolve_placement
 from ..trace.recorder import Tracer
 
 #: context ids of COMM_WORLD (p2p, collective)
@@ -62,8 +61,6 @@ def run(fn: Callable, nprocs: int,
         rank_args: Optional[Callable[[int], tuple]] = None,
         trace: bool = False,
         max_events: Optional[int] = None,
-        topology=None,
-        placement=None,
         faults=None,
         engine_factory: Optional[Callable[[], Engine]] = None,
         mailbox_factory: Optional[Callable] = None,
@@ -78,7 +75,8 @@ def run(fn: Callable, nprocs: int,
     machine:
         Platform preset (default: the quiet testbed — deterministic,
         noise-free; pass :func:`repro.simmpi.config.beskow` for the
-        paper's platform).
+        paper's platform).  ``machine.with_(topology=...,
+        placement=...)`` swaps its fabric or rank→node policy.
     args / rank_args:
         Extra positional arguments: ``args`` is shared verbatim;
         ``rank_args(rank)`` (if given) is called per rank and takes
@@ -88,13 +86,6 @@ def run(fn: Callable, nprocs: int,
         the result.
     max_events:
         Safety budget on engine events (livelock guard for tests).
-    topology / placement:
-        Override the machine's fabric (a kind name —
-        ``"fat_tree"`` / ``"dragonfly"`` — or a
-        :class:`~repro.simmpi.config.TopologyConfig`) and/or its
-        rank→node policy (``"block"``, ``"round_robin"`` or a
-        :class:`~repro.simmpi.placement.PlacementPolicy`) without
-        rebuilding the config by hand.
     faults:
         Deterministic fault injection: a :class:`~repro.faults.plan.
         FaultPlan` (or its JSON dict; None = fault-free, the default
@@ -111,10 +102,6 @@ def run(fn: Callable, nprocs: int,
     if nprocs <= 0:
         raise ValueError("nprocs must be positive")
     machine = machine or quiet_testbed()
-    if topology is not None:
-        machine = machine.with_(topology=resolve_topology(topology))
-    if placement is not None:
-        machine = machine.with_(placement=resolve_placement(placement))
 
     plan = None
     if faults is not None:

@@ -57,6 +57,7 @@ from .errors import PlacementError
 __all__ = [
     "BlockPlacement",
     "ColocatedPlacement",
+    "PLAN_PLACEMENTS",
     "PartitionedPlacement",
     "Placement",
     "PlacementPolicy",
@@ -261,8 +262,10 @@ _NAMED_POLICIES = {
     "round-robin": RoundRobinPlacement,
 }
 
-#: policies that carry group blocks (JSON needs them at construction)
-_GROUP_POLICIES = {
+#: policies that carry group blocks (JSON needs them at construction;
+#: ``repro.api.Simulation`` and study ``from_plan`` placements take them
+#: from a compiled plan)
+PLAN_PLACEMENTS = {
     "colocated": ColocatedPlacement,
     "partitioned": PartitionedPlacement,
 }
@@ -275,18 +278,18 @@ def placement_from_json(data: Dict[str, Any]) -> PlacementPolicy:
             f"placement JSON must be a dict with a 'policy' key, "
             f"got {data!r}")
     name = data["policy"]
-    if name in _GROUP_POLICIES:
+    if name in PLAN_PLACEMENTS:
         groups = data.get("groups")
         if not groups:
             raise PlacementError(
                 f"placement {name!r} needs its 'groups' blocks in JSON")
-        return _GROUP_POLICIES[name](tuple(
+        return PLAN_PLACEMENTS[name](tuple(
             (str(n), int(f), int(s)) for n, f, s in groups))
     factory = _NAMED_POLICIES.get(name)
     if factory is None:
         raise PlacementError(
             f"unknown placement policy {name!r} in JSON; known: "
-            f"{sorted(set(_NAMED_POLICIES) | set(_GROUP_POLICIES))}")
+            f"{sorted(set(_NAMED_POLICIES) | set(PLAN_PLACEMENTS))}")
     return factory()
 
 

@@ -29,16 +29,14 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from ..simmpi.config import (
+    PRESETS,
     MachineConfig,
     NoiseConfig,
     TopologyConfig,
-    beskow,
-    ideal_network_testbed,
-    quiet_testbed,
     resolve_topology,
 )
 from ..simmpi.errors import PlacementError
-from ..simmpi.placement import placement_from_json
+from ..simmpi.placement import PLAN_PLACEMENTS, placement_from_json
 from .study import StudyError
 
 __all__ = [
@@ -55,18 +53,6 @@ __all__ = [
     "validate_extract",
     "validate_machine_spec",
 ]
-
-#: machine preset factories a spec may name
-MACHINE_FACTORIES: Dict[str, Callable[[], MachineConfig]] = {
-    "beskow": beskow,
-    "quiet": quiet_testbed,
-    "quiet_testbed": quiet_testbed,
-    "ideal": ideal_network_testbed,
-    "ideal_network": ideal_network_testbed,
-}
-
-#: placement policies whose group blocks come from a compiled plan
-_PLAN_POLICIES = ("colocated", "partitioned")
 
 #: keys a machine spec may carry.  "faults" and "cosim" are not part of
 #: the MachineConfig — faults resolve to a FaultPlan handed to the
@@ -306,10 +292,10 @@ def validate_machine_spec(spec: Optional[Dict[str, Any]],
     if "preset" in spec and "config" in spec:
         raise StudyError("machine spec: give 'preset' or 'config', not both")
     preset = spec.get("preset")
-    if preset is not None and preset not in MACHINE_FACTORIES:
+    if preset is not None and preset not in PRESETS:
         raise StudyError(
             f"unknown machine preset {preset!r}; "
-            f"choose from {sorted(MACHINE_FACTORIES)}")
+            f"choose from {sorted(PRESETS)}")
     faults = spec.get("faults")
     if faults is not None:
         from ..faults.plan import FaultError, resolve_faults
@@ -332,10 +318,10 @@ def validate_machine_spec(spec: Optional[Dict[str, Any]],
             policy = placement.get("policy")
             # an unresolved bind target may legitimately still be None
             # here; the policy name is re-checked at build time
-            if policy is not None and policy not in _PLAN_POLICIES:
+            if policy is not None and policy not in PLAN_PLACEMENTS:
                 raise StudyError(
                     f"from_plan placement must be one of "
-                    f"{list(_PLAN_POLICIES)}, got {policy!r}")
+                    f"{list(PLAN_PLACEMENTS)}, got {policy!r}")
             if app.plan_builder is None:
                 raise StudyError(
                     f"app {app.name!r} compiles no stream graph; "
@@ -352,7 +338,7 @@ def build_machine(spec: Optional[Dict[str, Any]], app: AppSpec,
     if "config" in spec:
         base = MachineConfig.from_json(spec["config"])
     else:
-        base = MACHINE_FACTORIES[spec.get("preset", "quiet")]()
+        base = PRESETS[spec.get("preset", "quiet")]()
     overrides: Dict[str, Any] = {}
     if "ranks_per_node" in spec:
         overrides["ranks_per_node"] = int(spec["ranks_per_node"])
@@ -383,9 +369,9 @@ def _build_placement(data: Dict[str, Any], app: AppSpec, cfg: Any):
         from ..api import plan_placement
 
         policy = data.get("policy")
-        if policy not in _PLAN_POLICIES:
+        if policy not in PLAN_PLACEMENTS:
             raise StudyError(
-                f"from_plan placement must be one of {list(_PLAN_POLICIES)}, "
+                f"from_plan placement must be one of {list(PLAN_PLACEMENTS)}, "
                 f"got {policy!r}")
         if app.plan_builder is None:
             raise StudyError(

@@ -7,8 +7,6 @@ import pytest
 
 from repro.bench.harness import (
     Series,
-    max_elapsed,
-    max_field,
     render_table,
     save_artifact,
     scale_points,
@@ -65,26 +63,16 @@ def test_sweep_callable_runs_worker_at_each_point():
     """study.sweep_callable is the imperative replacement for the
     removed harness.sweep shim."""
     from repro.study import sweep_callable
+    from repro.study.registry import apply_extract
 
     def worker(comm, cfg):
         yield from comm.compute(cfg)
         return {"elapsed": comm.time}
 
     s = sweep_callable(worker, lambda p: 0.001 * p, [2, 4], quiet_testbed,
-                       max_elapsed, label="t")
+                       lambda r: apply_extract("max_elapsed", r), label="t")
     assert s.points[2] == pytest.approx(0.002)
     assert s.points[4] == pytest.approx(0.004)
-
-
-def test_max_field_with_role_filter():
-    class R:
-        values = [
-            {"role": "a", "x": 1.0},
-            {"role": "b", "x": 5.0},
-        ]
-
-    assert max_field("x")(R) == 5.0
-    assert max_field("x", role="a")(R) == 1.0
 
 
 def test_render_table_contains_all_points_and_labels():

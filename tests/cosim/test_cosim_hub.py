@@ -5,10 +5,21 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+
+import pytest
 
 import repro
-from repro.cosim import CosimConfig, HubSpec, cosim_worker
+from repro.cosim import (
+    BPort,
+    CosimConfig,
+    HubSpec,
+    build_graphs,
+    cosim_worker,
+    plan_layout,
+)
 from repro.simmpi import quiet_testbed
+from repro.simmpi.errors import SimMPIError
 from repro.simmpi.launcher import run
 
 SPEC = HubSpec(size=2, buffer_depth=2, transform_seconds=1e-6,
@@ -113,3 +124,57 @@ def test_crashed_a_side_port_rank_does_not_spin_the_hub():
     assert proc.returncode == 0, proc.stderr[-2000:]
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out == {"failed": [1], "duplicates": 0}
+
+
+#: (nprocs, hub size, scale_ratio, buffer_depth): the layout above, the
+#: perf ``cosim`` scenario's, and a three-rank hub with a one-deep buffer
+SWEEP_LAYOUTS = [(10, 2, 3, 2), (24, 2, 3, 2), (16, 3, 4, 1)]
+
+
+@pytest.mark.parametrize("nprocs, size, ratio, depth", SWEEP_LAYOUTS)
+def test_every_hub_rank_crash_delivers_each_element_exactly_once(
+        monkeypatch, nprocs, size, ratio, depth):
+    """Crash each hub rank at k/20 of the fault-free elapsed time,
+    k = 1..19.  Every run completes, and B receives each micro element
+    of every A producer exactly once: a macro body ``("macro", producer,
+    mseq, n)`` stands for ``n`` of them, and ``BPort.get`` returns each
+    macro once."""
+    bodies = []
+    get = BPort.get
+
+    def recording_get(self):
+        body = yield from get(self)
+        if body is not None:
+            bodies.append(body)
+        return body
+
+    monkeypatch.setattr(BPort, "get", recording_get)
+    spec = HubSpec(size=size, buffer_depth=depth, transform_seconds=1e-6,
+                   scale_ratio=ratio, element_bytes=2048)
+    cfg = CosimConfig(nprocs=nprocs, elements_per_producer=24,
+                      produce_seconds=2e-6)
+    layout = plan_layout(nprocs, spec, *build_graphs(cfg), "micro", "macro")
+    elapsed = run(cosim_worker, nprocs, args=(cfg, spec),
+                  machine=quiet_testbed()).elapsed
+    failures = []
+    for rank in layout.hub_ranks:
+        for k in range(1, 20):
+            del bodies[:]
+            plan = {"events": [{"kind": "crash", "time": k / 20 * elapsed,
+                                "rank": rank}]}
+            try:
+                run(cosim_worker, nprocs, args=(cfg, spec),
+                    machine=quiet_testbed(), faults=plan)
+            except SimMPIError as exc:
+                failures.append(f"rank {rank} at {k}/20: "
+                                f"{type(exc).__name__}")
+                continue
+            micro = Counter()
+            for _kind, producer, _mseq, n in bodies:
+                micro[producer] += n
+            wrong = {p: micro[p] for p in range(layout.nprocs_a)
+                     if micro[p] != cfg.elements_per_producer}
+            if wrong:
+                failures.append(f"rank {rank} at {k}/20: micro elements "
+                                f"received per producer {wrong}")
+    assert not failures, "\n".join(failures)

@@ -13,6 +13,7 @@ from repro.simmpi import (
     quiet_testbed,
     run,
 )
+from repro.simmpi.config import TopologyConfig
 from repro.simmpi.engine import Engine
 from repro.simmpi.oracle import SLOW_PATH
 
@@ -275,7 +276,8 @@ def test_link_degrade_requires_flat_fabric_and_no_injection():
 
     plan = FaultPlan([LinkDegrade(0.0, 1.0, 0, 1, 2.0)])
     with pytest.raises(FaultError, match="flat fabric"):
-        run(prog, 2, topology="fat_tree", faults=plan)
+        run(prog, 2, faults=plan, machine=quiet_testbed().with_(
+            topology=TopologyConfig(kind="fat_tree")))
     with pytest.raises(FaultError, match="fast-path engine"):
         run(prog, 2, faults=_crash(0.1, 1), **SLOW_PATH)
 

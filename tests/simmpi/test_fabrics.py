@@ -65,8 +65,10 @@ def test_launcher_threads_topology_and_placement():
         yield from comm.barrier()
         return comm.node_of()
 
-    r = run(prog, 4, machine=quiet_testbed().with_(ranks_per_node=2),
-            topology="dragonfly", placement="round_robin")
+    m = quiet_testbed().with_(ranks_per_node=2,
+                              topology=resolve_topology("dragonfly"),
+                              placement=RoundRobinPlacement())
+    r = run(prog, 4, machine=m)
     assert r.values == [0, 1, 0, 1]
 
 
@@ -115,18 +117,21 @@ def _pair_exchange(comm):
 
 
 @pytest.mark.parametrize("override, match", [
-    ({"topology": "fat_tree"}, "flat fabric only, not 'fat_tree'"),
-    ({"placement": "round_robin"}, "block placement only, not "
-                                   "'round_robin'"),
+    ({"topology": TopologyConfig(kind="fat_tree")},
+     "flat fabric only, not 'fat_tree'"),
+    ({"placement": RoundRobinPlacement()}, "block placement only, not "
+                                           "'round_robin'"),
 ], ids=["fat_tree", "round_robin"])
 def test_oracle_network_refuses_machines_it_cannot_model(override, match):
     """The seed network times a flat, block-placed machine whatever the
     config says, so it must refuse anything else instead of timing the
     wrong machine."""
-    assert run(_pair_exchange, 64, **override).elapsed != \
+    machine = quiet_testbed().with_(**override)
+    assert run(_pair_exchange, 64, machine=machine).elapsed != \
         run(_pair_exchange, 64).elapsed
     with pytest.raises(OracleConfigError, match=match):
-        run(_pair_exchange, 64, network_factory=OracleNetwork, **override)
+        run(_pair_exchange, 64, machine=machine,
+            network_factory=OracleNetwork)
     # the flat, block-placed machine it does model stays accepted
     explicit_block = quiet_testbed().with_(placement=BlockPlacement())
     assert run(_pair_exchange, 64, machine=explicit_block,
