@@ -157,10 +157,14 @@ class World:
                             and config.noise.quantum_fraction == 0.0)
         # fault injection (repro.faults): None on every fault-free run,
         # so the gates below stay single pointer compares.  The launcher
-        # installs a FaultController and clears _compute_fast when the
-        # plan carries Slowdown windows.
+        # installs a FaultController and clears _compute_fast and
+        # _noise_fast when the plan carries Slowdown windows.
         self._fault_ctl = None
+        # compute() charges without a generator unless a tracer or a
+        # Slowdown window must see each charge: a cached Delay on a
+        # quiet machine, a freshly inflated one on a noisy machine
         self._compute_fast = self._noise_free and tracer is None
+        self._noise_fast = not self._noise_free and tracer is None
         # compute charges are immutable to the engine; deterministic
         # compute() durations repeat heavily (per-file map costs,
         # per-element merge costs), so share them
@@ -379,11 +383,13 @@ class Comm:
     def compute(self, seconds: float, label: str = "compute"):
         """Charge ``seconds`` of nominal compute time (noise-inflated).
 
-        Returns an iterable to drive with ``yield from``.  On a
-        noise-free machine with no tracer that iterable is a one-Delay
-        tuple — C-level iteration, no generator frame — built from the
-        world's shared Delay cache; otherwise it is the full generator
-        with noise inflation and trace recording.
+        Returns an iterable to drive with ``yield from``.  With no
+        tracer and no Slowdown window that iterable is a one-Delay
+        tuple — C-level iteration, no generator frame — taken from the
+        world's shared Delay cache on a noise-free machine and inflated
+        by the noise model when the call is made on a noisy one;
+        otherwise it is the full generator with noise inflation, the
+        Slowdown stretch and trace recording.
         """
         if seconds < 0:
             raise ValueError("negative compute duration")
@@ -397,6 +403,9 @@ class Comm:
                     cache.clear()
                 charge = cache[nominal] = ComputeCharge((Delay(nominal),))
             return charge
+        if world._noise_fast:
+            return ComputeCharge((Delay(world.noise.inflate(
+                self._global, seconds / world._compute_speed)),))
         return self._compute_gen(seconds, label)
 
     def _compute_gen(self, seconds: float, label: str

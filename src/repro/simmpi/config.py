@@ -19,6 +19,7 @@ persist it in scenario files.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, Optional, Union
 
@@ -191,6 +192,13 @@ class NoiseConfig(_JsonConfig):
             raise ValueError("quantum_fraction must be in [0, 1)")
         if self.quantum <= 0:
             raise ValueError("quantum must be positive")
+        try:
+            seed_ok = operator.index(self.seed) >= 0
+        except TypeError:
+            seed_ok = False
+        if not seed_ok:
+            raise ValueError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

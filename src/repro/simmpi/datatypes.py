@@ -120,6 +120,13 @@ class SizedPayload:
         return f"SizedPayload({self.data!r}, nbytes={self.nbytes})"
 
 
+#: wire size of the exact built-in scalar classes; none of them has a
+#: ``__wire_nbytes__`` or is a SizedPayload, so looking them up before
+#: the isinstance chain changes no size (subclasses of int, float and
+#: complex and NumPy scalars still take the chain)
+_SCALAR_NBYTES = {int: 8, float: 8, bool: 1, complex: 16, type(None): 0}
+
+
 def payload_nbytes(obj: Any, datatype: Datatype = None, count: int = None) -> int:
     """Wire size in bytes of an arbitrary payload.
 
@@ -130,10 +137,19 @@ def payload_nbytes(obj: Any, datatype: Datatype = None, count: int = None) -> in
     The container estimate is intentionally cheap and deterministic; it
     exists so tests can send small Python structures without declaring
     types, while performance-sensitive paths use arrays or SizedPayload.
+    Exact ``int``/``float``/``bool``/``complex``/``None`` and plain
+    ``tuple``/``list`` are recognized by their class first, which gives
+    the same sizes without walking the chain.
     """
     if datatype is not None:
         n = count if count is not None else 1
         return n * datatype.size
+    cls = type(obj)
+    n = _SCALAR_NBYTES.get(cls)
+    if n is not None:
+        return n
+    if cls is tuple or cls is list:
+        return sum(map(payload_nbytes, obj))
     if isinstance(obj, SizedPayload):
         return obj.nbytes
     wire = getattr(obj, "__wire_nbytes__", None)
@@ -145,16 +161,13 @@ def payload_nbytes(obj: Any, datatype: Datatype = None, count: int = None) -> in
         return len(obj)
     if isinstance(obj, str):
         return len(obj.encode("utf-8"))
-    if isinstance(obj, bool):
-        return 1
+    # int, float and complex subclasses (bool and NoneType have none)
     if isinstance(obj, int):
         return 8
     if isinstance(obj, float):
         return 8
     if isinstance(obj, complex):
         return 16
-    if obj is None:
-        return 0
     if isinstance(obj, dict):
         return sum(payload_nbytes(k) + payload_nbytes(v) for k, v in obj.items())
     if isinstance(obj, (list, tuple, set, frozenset)):

@@ -139,7 +139,7 @@ def run(fn: Callable, nprocs: int,
         world._fault_ctl = ctl
         if ctl.has_slowdowns:
             # straggler windows must see every compute charge
-            world._compute_fast = False
+            world._compute_fast = world._noise_fast = False
 
     handles = []
     world_ranks = tuple(range(nprocs))

@@ -11,16 +11,31 @@ vary the speed of processors"):
 * a **persistent per-rank speed factor** — each rank draws a constant
   multiplicative slowdown from a lognormal distribution, representing
   core-to-core frequency / thermal variance;
-* **transient noise** — while computing, a rank loses a random fraction
-  of each noise quantum, representing OS daemons and interrupts
-  (Petrini et al., SC'03).  Over an interval of nominal length ``t`` the
-  expected inflation is ``quantum_fraction``; the realized inflation is
-  sampled per compute call so long phases smooth out and short phases
-  jitter, as on a real machine.
+* **transient noise** — OS daemons and interrupts (Petrini et al.,
+  SC'03) arrive at each rank as a Poisson process with mean gap
+  ``quantum`` on that rank's cumulative *nominal* compute clock, and
+  each arrival costs an exponential detour with mean
+  ``quantum_fraction * quantum``.  Over an interval of nominal length
+  ``t`` the expected inflation is ``quantum_fraction * t``; long phases
+  smooth out and short phases jitter, as on a real machine.
 
-Both draws come from per-rank ``numpy`` generators seeded from the
-config seed and the rank id, so a simulation is reproducible and two
-runs that only differ elsewhere see identical noise.
+The model keeps, per rank, the nominal compute left until the next
+arrival.  A charge that ends before it only shortens that gap and draws
+nothing.  A charge that crosses it, with ``r`` left after the arrival,
+sees ``n = 1 + Poisson(r / quantum)`` arrivals, pays
+``Gamma(n, quantum_fraction * quantum)`` (the sum of ``n`` exponential
+detours) and draws the next gap as ``Exponential(quantum)``: three
+draws.  By the Poisson process's independent increments and
+memorylessness, a charge of length ``d`` then has the law of drawing
+``Poisson(d / quantum)`` arrivals and as many exponential detours for
+it alone, which costs a draw per charge plus one per arrival.
+
+Both effects draw from per-rank generators,
+``default_rng(SeedSequence(entropy=seed, spawn_key=(rank,)))``, built
+for all ranks at once by :func:`repro.workloads.keyed.keyed_generators`
+on the first noisy charge, so a simulation is reproducible and two runs
+that only differ elsewhere see identical noise.  A rank's persistent
+factor is its generator's first draw.
 """
 
 from __future__ import annotations
@@ -30,6 +45,7 @@ from typing import Dict
 
 import numpy as np
 
+from ..workloads.keyed import keyed_generators
 from .config import NoiseConfig
 
 
@@ -40,17 +56,40 @@ class NoiseModel:
         config.validate()
         self.config = config
         self.nranks = nranks
+        self._quantum = config.quantum
+        self._detour = config.quantum_fraction * config.quantum
         self._skew: Dict[int, float] = {}
+        # nominal compute seconds left until each rank's next arrival
+        self._gap: Dict[int, float] = {}
         self._rngs: Dict[int, np.random.Generator] = {}
 
     def _rng(self, rank: int) -> np.random.Generator:
         rng = self._rngs.get(rank)
         if rng is None:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=self.config.seed, spawn_key=(rank,))
-            )
-            self._rngs[rank] = rng
+            if 0 <= rank < self.nranks:
+                ranks = range(self.nranks)
+                self._rngs.update(zip(ranks, keyed_generators(
+                    self.config.seed, [(r,) for r in ranks])))
+            else:
+                self._rngs[rank] = next(keyed_generators(self.config.seed,
+                                                         [(rank,)]))
+            rng = self._rngs[rank]
         return rng
+
+    def _start(self, rank: int) -> float:
+        """Draw ``rank``'s persistent factor, then its first arrival."""
+        config = self.config
+        skew, gap = 1.0, math.inf
+        if config.persistent_skew > 0 or config.quantum_fraction > 0:
+            rng = self._rng(rank)
+            if config.persistent_skew > 0:
+                skew = max(1.0, float(rng.lognormal(
+                    0.0, config.persistent_skew)))
+            if config.quantum_fraction > 0:
+                gap = float(rng.exponential(self._quantum))
+        self._skew[rank] = skew
+        self._gap[rank] = gap
+        return skew
 
     def persistent_factor(self, rank: int) -> float:
         """Constant speed factor (>= ~1) for ``rank``.
@@ -60,15 +99,10 @@ class NoiseModel:
         for synchronization cost is the spread, and flooring keeps
         calibrated absolute times stable under noise sweeps.
         """
-        factor = self._skew.get(rank)
-        if factor is None:
-            sigma = self.config.persistent_skew
-            if sigma <= 0:
-                factor = 1.0
-            else:
-                factor = max(1.0, float(self._rng(rank).lognormal(0.0, sigma)))
-            self._skew[rank] = factor
-        return factor
+        skew = self._skew.get(rank)
+        if skew is None:
+            skew = self._start(rank)
+        return skew
 
     def inflate(self, rank: int, duration: float) -> float:
         """Actual virtual-time cost of ``duration`` nominal compute seconds."""
@@ -76,27 +110,18 @@ class NoiseModel:
             return 0.0
         skew = self._skew.get(rank)
         if skew is None:
-            skew = self.persistent_factor(rank)
-        actual = duration * skew
-        config = self.config
-        frac = config.quantum_fraction
-        if frac > 0.0:
-            # Number of noise quanta this interval spans; each quantum
-            # contributes an exponentially-distributed detour with mean
-            # `frac * quantum`.  For intervals much longer than a quantum
-            # the total concentrates around `frac * duration` (LLN); for
-            # short intervals it is bursty.
-            rng = self._rngs.get(rank)
-            if rng is None:
-                rng = self._rng(rank)
-            quanta = duration / config.quantum
-            n_events = int(rng.poisson(quanta if quanta > 1e-12 else 1e-12))
-            if n_events > 0:
-                detours = rng.exponential(
-                    frac * config.quantum, size=n_events
-                )
-                actual += float(detours.sum())
-        return actual
+            skew = self._start(rank)
+        gap = self._gap[rank] - duration
+        if gap > 0.0:
+            self._gap[rank] = gap
+            return duration * skew
+        # the charge crosses the next arrival; -gap is left after it
+        rng = self._rngs[rank]
+        quantum = self._quantum
+        events = 1 + int(rng.poisson(-gap / quantum))
+        detours = float(rng.gamma(events, self._detour))
+        self._gap[rank] = float(rng.exponential(quantum))
+        return duration * skew + detours
 
     def expected_inflation(self, duration: float) -> float:
         """Mean cost of ``duration`` under transient noise only (analytic).

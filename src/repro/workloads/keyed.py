@@ -1,35 +1,40 @@
 """Keyed random streams, many keys in one pass.
 
 The applications draw their irregularity (file sizes, per-chunk jitter)
-from *keyed streams*: ``default_rng(SeedSequence(entropy=seed,
-spawn_key=key))``, one fresh generator per key, so every draw is a pure
-function of (seed, key) and no rank's draws depend on the order in
-which ranks run.  Building those generators costs far more than drawing
-from them.  :func:`keyed_draws` returns the same draws for a whole list
-of keys: the seed's words are mixed into SeedSequence's entropy pool
-once, the key words of all keys are mixed in together as ``uint64``
-arrays, each key's PCG64 state follows from PCG's 128-bit seeding step,
-and ``draw`` runs on one reused ``Generator`` set to that state.
+and the noise model its per-rank noise from *keyed streams*:
+``default_rng(SeedSequence(entropy=seed, spawn_key=key))``, one fresh
+generator per key, so every draw is a pure function of (seed, key) and
+no rank's draws depend on the order in which ranks run.  Building those
+generators through ``SeedSequence`` costs far more than drawing from
+them.  :func:`keyed_generators` builds the same generators for a whole
+list of keys: the seed's words are mixed into SeedSequence's entropy
+pool once, the key words of all keys are mixed in together as
+``uint64`` arrays, which gives every key's ``generate_state(4, uint64)``
+words in one vectorized pass, and each key's ``PCG64`` seeds itself
+from its four words, handed over by a small ``ISeedSequence`` that holds
+nothing else.  :func:`keyed_draws` applies a draw to each of them.
 
-NEP 19 freezes SeedSequence's output and PCG64's seeding and raw stream,
-which are what this module recomputes.  The draw itself (the part NEP 19
-lets NumPy change between versions) is still made by NumPy, so results
-stay bit-identical to the per-key generators.
+NEP 19 freezes SeedSequence's output and PCG64's seeding and raw stream;
+this module recomputes only SeedSequence's output, and PCG64 and the
+draws themselves (the part NEP 19 lets NumPy change between versions)
+are NumPy's own, so results stay bit-identical to the per-key
+generators.  ``numpy.random`` is imported when the first generator is
+built, not with this module.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
-from typing import Callable, List, Sequence, Tuple, TypeVar
+from typing import Callable, Iterator, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-__all__ = ["keyed_draws"]
+__all__ = ["keyed_draws", "keyed_generators"]
 
 T = TypeVar("T")
 
 _MASK32 = 0xFFFF_FFFF
-_MASK128 = (1 << 128) - 1
 
 # NumPy's SeedSequence (numpy/random/bit_generator.pyx)
 _POOL_SIZE = 4
@@ -40,9 +45,6 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
-
-#: PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 # The mixing helpers take Python ints or uint64 arrays holding 32-bit
@@ -110,9 +112,9 @@ def _key_columns(keys: Sequence[Sequence[int]], width: int) -> list:
     return list(words.astype(np.uint64).T)
 
 
-def _pcg64_states(pool: list) -> List[Tuple[int, int]]:
-    """PCG64's (state, inc) for each key, seeded exactly as
-    ``PCG64(seed_seq)`` seeds itself from ``generate_state(4, uint64)``."""
+def _generate_state(pool: list) -> np.ndarray:
+    """Each key's ``SeedSequence.generate_state(4, np.uint64)``, one row
+    of four words per key, from the keys' entropy pools."""
     hash_const = _INIT_B
     words = []
     for i in range(2 * _POOL_SIZE):
@@ -120,54 +122,75 @@ def _pcg64_states(pool: list) -> List[Tuple[int, int]]:
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * hash_const & _MASK32
         words.append(value ^ value >> _XSHIFT)
-    # little-endian pairs of 32-bit words are the four 64-bit seed words
-    seed_hi, seed_lo, inc_hi, inc_lo = (
-        (words[2 * j] | words[2 * j + 1] << 32).tolist() for j in range(4))
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
-        # pcg_setseq_128_srandom_r: step from zero, add the seed, step
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        states.append((state, inc))
-    return states
+    # little-endian pairs of 32-bit words are the 64-bit words
+    return np.stack([words[2 * j] | words[2 * j + 1] << 32
+                     for j in range(4)], axis=1)
 
 
-def keyed_draws(entropy: int, keys: Sequence[Sequence[int]],
-                draw: Callable[[np.random.Generator], T]) -> List[T]:
-    """``draw`` applied to each key's own generator, bit for bit equal to
-    ``[draw(np.random.default_rng(np.random.SeedSequence(entropy=entropy,
-    spawn_key=k))) for k in keys]``.
-
-    ``entropy`` is a non-negative int and every key a sequence of ints
-    in ``[0, 2**32)``; a negative entropy or a component outside that
-    range raises ``ValueError``.  ``draw`` must only draw from the
-    generator it is given (the generator is reused, so it must not be
-    kept or spawned from).
-    """
+def _seed_words(entropy: int, keys: Sequence[Sequence[int]]) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of every key's SeedSequence, as
+    the rows of one ``(len(keys), 4)`` array."""
     entropy = operator.index(entropy)
     if entropy < 0:
         raise ValueError("entropy must be a non-negative integer")
     pool, hash_const = _seed_pool(entropy)
     widths = [len(key) for key in keys]
-    states: list = [None] * len(widths)
+    out = np.empty((len(widths), 4), dtype=np.uint64)
     for width in set(widths):
         rows = [i for i, w in enumerate(widths) if w == width]
         columns = _key_columns([keys[i] for i in rows], width)
         key_pool = [np.full(len(rows), word, dtype=np.uint64)
                     for word in pool]
         key_pool, _ = _absorb(key_pool, columns, hash_const)
-        for i, state in zip(rows, _pcg64_states(key_pool)):
-            states[i] = state
-
-    gen = np.random.Generator(np.random.PCG64(0))
-    bit_gen = gen.bit_generator
-    pcg = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": pcg,
-            "has_uint32": 0, "uinteger": 0}
-    out = []
-    for state, inc in states:
-        pcg["state"] = state
-        pcg["inc"] = inc
-        bit_gen.state = full
-        out.append(draw(gen))
+        out[rows] = _generate_state(key_pool)
     return out
+
+
+@functools.cache
+def _numpy_random():
+    """NumPy's ``Generator`` and ``PCG64`` and the seed-word
+    ``ISeedSequence``, imported when the first generator is built."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """A seed sequence reduced to its ``generate_state(4, np.uint64)``
+        words, all that ``PCG64`` asks of one."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("SeedWords holds PCG64's four uint64 "
+                                 "seed words only")
+            return self.words
+
+    return Generator, PCG64, SeedWords
+
+
+def keyed_generators(entropy: int, keys: Sequence[Sequence[int]]
+                     ) -> Iterator[np.random.Generator]:
+    """Each key's generator, in key order, bit for bit equal to
+    ``np.random.default_rng(np.random.SeedSequence(entropy=entropy,
+    spawn_key=k))``; each is built as the iterator reaches it.
+
+    ``entropy`` is a non-negative int and every key a sequence of ints
+    in ``[0, 2**32)``; a negative entropy or a component outside that
+    range raises ``ValueError`` at the call.  The generators cannot
+    ``spawn`` or be pickled: their seed sequence holds PCG64's seed
+    words only.
+    """
+    words = _seed_words(entropy, keys)
+    generator, pcg64, seed_words = _numpy_random()
+    return map(generator, map(pcg64, map(seed_words, words)))
+
+
+def keyed_draws(entropy: int, keys: Sequence[Sequence[int]],
+                draw: Callable[[np.random.Generator], T]) -> List[T]:
+    """``draw`` applied to each key's own generator, bit for bit equal to
+    ``[draw(np.random.default_rng(np.random.SeedSequence(entropy=entropy,
+    spawn_key=k))) for k in keys]``; arguments and errors as for
+    :func:`keyed_generators`.
+    """
+    return list(map(draw, keyed_generators(entropy, keys)))

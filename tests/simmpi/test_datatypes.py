@@ -1,5 +1,10 @@
 """Unit + property tests for datatype descriptors and payload sizing."""
 
+import enum
+import random
+import sys
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +132,106 @@ def test_sized_payload_rejects_negative():
 @settings(max_examples=50)
 def test_sized_payload_roundtrip(n):
     assert payload_nbytes(SizedPayload("x", n)) == n
+
+
+def chain_nbytes(obj, datatype=None, count=None):
+    """payload_nbytes as one isinstance chain, without the exact-class
+    lookups in front of it: the reference it must agree with."""
+    if datatype is not None:
+        n = count if count is not None else 1
+        return n * datatype.size
+    if isinstance(obj, SizedPayload):
+        return obj.nbytes
+    wire = getattr(obj, "__wire_nbytes__", None)
+    if wire is not None:
+        return int(wire() if callable(wire) else wire)
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, (bytes, bytearray, memoryview)):
+        return len(obj)
+    if isinstance(obj, str):
+        return len(obj.encode("utf-8"))
+    if isinstance(obj, bool):
+        return 1
+    if isinstance(obj, int):
+        return 8
+    if isinstance(obj, float):
+        return 8
+    if isinstance(obj, complex):
+        return 16
+    if obj is None:
+        return 0
+    if isinstance(obj, dict):
+        return sum(chain_nbytes(k) + chain_nbytes(v) for k, v in obj.items())
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return sum(chain_nbytes(x) for x in obj)
+    if isinstance(obj, (np.integer, np.floating)):
+        return obj.nbytes
+    return sys.getsizeof(obj)
+
+
+class WiredInt(int):
+    __wire_nbytes__ = 3
+
+
+class WiredFloat(float):
+    def __wire_nbytes__(self):
+        return 5
+
+
+class WiredTuple(tuple):
+    __wire_nbytes__ = 7
+
+
+class Color(enum.IntEnum):
+    RED = 1
+
+
+Face = namedtuple("Face", "peer it rank data")
+
+
+class Rows(list):
+    pass
+
+
+def random_payload(rng, depth=0):
+    """A scalar, array, wrapper or (below depth 3) container payload."""
+    leaves = [
+        lambda: rng.randrange(-10**6, 10**6), lambda: rng.random(),
+        lambda: rng.random() < 0.5, lambda: complex(rng.random(), 1.0),
+        lambda: None, lambda: "é" * rng.randrange(4),
+        lambda: bytes(rng.randrange(5)), lambda: np.zeros(rng.randrange(4)),
+        lambda: np.int32(7), lambda: np.float64(0.5), lambda: np.bool_(1),
+        lambda: SizedPayload(None, rng.randrange(10**5)),
+        lambda: WiredInt(4), lambda: WiredFloat(2.0), lambda: Color.RED,
+        lambda: WiredTuple((1, 2)), lambda: object(),
+    ]
+    if depth >= 3 or rng.random() < 0.4:
+        return rng.choice(leaves)()
+
+    def items():
+        return [random_payload(rng, depth + 1)
+                for _ in range(rng.randrange(5))]
+    containers = [
+        lambda: tuple(items()), lambda: items(), lambda: Rows(items()),
+        lambda: Face(rng.randrange(64), 3, 1, random_payload(rng, depth + 1)),
+        lambda: {i: x for i, x in enumerate(items())},
+        lambda: frozenset(range(rng.randrange(4))),
+        lambda: SizedPayload(items(), rng.randrange(10**5)),
+    ]
+    return rng.choice(containers)()
+
+
+def test_payload_nbytes_equals_the_isinstance_chain():
+    """The exact-class lookups change no size over a randomized nested
+    corpus that mixes every class they cover with subclasses, NumPy
+    scalars, SizedPayloads and ``__wire_nbytes__`` types."""
+    rng = random.Random(22)
+    for _ in range(3000):
+        obj = random_payload(rng)
+        assert payload_nbytes(obj) == chain_nbytes(obj), obj
+    assert payload_nbytes((1, 2.0), datatype=DOUBLE, count=3) == \
+        chain_nbytes((1, 2.0), datatype=DOUBLE, count=3) == 24
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))

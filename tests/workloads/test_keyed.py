@@ -1,4 +1,5 @@
-"""keyed_draws must reproduce NumPy's per-key generators bit for bit."""
+"""keyed_draws and keyed_generators must reproduce NumPy's per-key
+generators bit for bit."""
 
 import random
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads.keyed import keyed_draws
+from repro.workloads.keyed import keyed_draws, keyed_generators
 
 TOP = 2**32 - 1
 
@@ -84,3 +85,22 @@ def test_random_seeds_and_keys(seed, keys):
 def test_rejects_out_of_range(entropy, keys):
     with pytest.raises(ValueError):
         keyed_draws(entropy, keys, DRAWS["uniform"])
+
+
+def test_generators_are_the_per_key_generators():
+    """Whole streams and states match, not only a first draw, and each
+    generator's seed sequence answers only PCG64's request."""
+    entropy = 2**40 + 9
+    keys = _keys(2, 7) + [(), (5,), (1, 2, 3)]
+    gens = list(keyed_generators(entropy, keys))
+    assert len(gens) == len(keys)
+    for key, gen in zip(keys, gens):
+        seq = np.random.SeedSequence(entropy=entropy, spawn_key=key)
+        ref = np.random.default_rng(seq)
+        assert gen.bit_generator.state == ref.bit_generator.state
+        assert gen.random(5).tolist() == ref.random(5).tolist()
+        assert np.array_equal(
+            gen.bit_generator.seed_seq.generate_state(4, np.uint64),
+            seq.generate_state(4, np.uint64))
+    with pytest.raises(ValueError):
+        gens[0].bit_generator.seed_seq.generate_state(8)
