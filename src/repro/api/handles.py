@@ -30,6 +30,7 @@ from ..core.runtime import GroupContext
 from ..mpistream.channel import StreamChannel
 from ..mpistream.profiles import StreamProfile
 from ..mpistream.stream import Stream
+from ..simmpi.comm import ComputeCharge
 from .errors import GraphError
 
 
@@ -209,7 +210,7 @@ class StageContext:
         return self._group_ctx.world.time
 
     def compute(self, seconds: float, label: str = "compute"
-                ) -> Generator[Any, Any, None]:
+                ) -> ComputeCharge:
         """Charge compute time on this rank (sugar for ``comm.compute``)."""
         return self.comm.compute(seconds, label=label)
 

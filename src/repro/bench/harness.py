@@ -7,9 +7,7 @@ plots, persist a JSON artifact, and assert the *shape* claims
 
 Experiment *execution* lives in :mod:`repro.study` since the study
 redesign: figures are :class:`~repro.study.study.Study` declarations
-run by :func:`~repro.study.runner.run_study` (parallel, cached); for
-one-off callables that are not registry apps,
-:func:`repro.study.sweep_callable` is the imperative escape hatch.
+run by :func:`~repro.study.runner.run_study` (parallel, cached).
 This module keeps the presentation pieces — :class:`Series`, tables,
 artifacts.  (The deprecated ``sweep`` / ``Series.ratio_to`` shims were
 removed one PR cycle after their deprecation.)

@@ -7,7 +7,9 @@ helper group that processes them on the fly, checkpointing its state
 every ``checkpoint_interval`` elements.  Killing a helper rank
 mid-stream (``machine.faults`` in a study, ``faults=`` anywhere else)
 exercises the whole recovery path: failure detection, successor
-adoption, checkpoint restore and un-acked replay.
+adoption, checkpoint restore and un-acked replay.  Helpers charge their
+per-element handling through ``ctx.compute``, so noise, ``Slowdown``
+windows and tracing reach it like any other compute.
 
 The cost constants mirror the originating apps
 (:class:`~repro.apps.cg.config.CGConfig` /
@@ -27,7 +29,6 @@ from typing import Any, Dict, Generator
 from ..api import StreamGraph
 from ..simmpi.comm import Comm
 from ..simmpi.datatypes import SizedPayload
-from ..simmpi.engine import Delay
 from .plan import Checkpoint
 
 __all__ = [
@@ -124,16 +125,17 @@ def _build_graph(cfg: _RecoveryConfig, name: str) -> StreamGraph:
                     label="produce")
                 yield from out.send(SizedPayload(i, cfg.element_bytes))
 
-    charge = Delay(cfg.handle_seconds)
+    def helper_body(ctx):
+        def handle(element):
+            return ctx.compute(cfg.handle_seconds, label="handle")
 
-    def handle(element):
-        yield charge
+        yield from ctx.consumer("elements").operate(handle)
 
     return (
         StreamGraph(name)
         .stage("compute", size=cfg.n_compute, body=produce_body)
-        .stage("helper", size=cfg.n_helper)
-        .flow("elements", src="compute", dst="helper", operator=handle,
+        .stage("helper", size=cfg.n_helper, body=helper_body)
+        .flow("elements", src="compute", dst="helper",
               checkpoint=cfg.checkpoint())
     )
 

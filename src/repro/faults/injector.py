@@ -131,6 +131,11 @@ class FaultController:
             self._handles[rank],
             ProcessFailedError(f"rank {rank} crashed at t={now:.6g}",
                                rank=rank))
+        tracer = self.world.tracer
+        if tracer is not None:
+            # compute intervals are recorded when the charge starts; the
+            # one the rank died in ends here
+            tracer.end_open(rank, now)
         self.engine.call_after(self.plan.detection_latency,
                                partial(self._detect, rank))
 

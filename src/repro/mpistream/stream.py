@@ -110,9 +110,6 @@ class Stream:
         else:
             self._static_dest = None
             self._dest_ci0 = None
-        # when compute charges are constant (World._compute_fast) the
-        # per-element injection delay is one object (built lazily, isend)
-        self._inject_delay = None
         # consumer-side bookkeeping
         if channel.is_consumer:
             ci = channel.consumer_index
@@ -163,16 +160,7 @@ class Stream:
             yield from self._drain_acks()
         overhead = self.element_overhead
         if overhead > 0:
-            if world._compute_fast:
-                # constant injection cost (what compute() would charge):
-                # reuse one Delay object and skip the compute() call
-                inject = self._inject_delay
-                if inject is None:
-                    inject = self._inject_delay = Delay(
-                        overhead / world._compute_speed)
-                yield inject
-            else:
-                yield from comm.compute(overhead, label="stream-inject")
+            yield from comm.compute(overhead, label="stream-inject")
         pending = self._pending
         if len(pending) >= self.window:
             oldest = pending.popleft()
@@ -327,19 +315,29 @@ class Stream:
                                     t0, engine.now)
         if payload.__class__ is FaultSignal:
             raise payload.error
+        return self._accept(payload)
+
+    def _accept(self, payload) -> Optional[StreamElement]:
+        """Account one arrival, ``((seq, data), status)``: a TERM counts
+        toward termination and yields None, unless its producer's death
+        already discounted it (DESIGN §12), in which case it is absorbed
+        without counting; a data element is recorded in the profile at
+        the current time and returned."""
         (seq, data), st = payload
+        source = st.source
         if data is TERMINATE:  # identity: payloads move by reference in-sim
-            self._termed_sources.add(st.source)
-            if st.source in self._discounted_sources:
-                # death already discounted this producer; absorb the
-                # in-flight TERM without double-counting
-                self._discounted_sources.discard(st.source)
+            self._termed_sources.add(source)
+            if source in self._discounted_sources:
+                # this producer's death already reduced the accounting;
+                # its in-flight TERM must not count too
+                self._discounted_sources.discard(source)
                 return None
             self._terms_seen += 1
             self.profile.terminates_seen += 1
             return None
-        self.profile.record_recv(st.nbytes, comm.time)
-        return StreamElement(data, st.source, seq, st.nbytes)
+        self.profile.record_recv(st.nbytes,
+                                 self.channel.comm.world.engine.now)
+        return StreamElement(data, source, seq, st.nbytes)
 
     def _apply(self, element: StreamElement) -> Generator[Any, Any, None]:
         result = self.operator(element)
@@ -366,9 +364,10 @@ class Stream:
         ckpt = self.checkpoint
         ctl = self._ctl
         profile.service_start = engine.now
-        # the consumer hot loop: recv_element + _apply are inlined — at
-        # funnel rates the two extra generators per element are real
-        # cost.  Semantics identical to `recv_element()` + `_apply()`.
+        # the consumer hot loop: the receive and `_apply` are inlined —
+        # at funnel rates two extra generators per element are real
+        # cost — and arrivals are accounted by `_accept`, as in
+        # `recv_element()`.
         post_recv = world.post_recv
         my_global = comm._global
         context = comm.context
@@ -399,26 +398,14 @@ class Stream:
                 yield from self._handle_failures()
                 comm.failure_ack()
                 continue
-            (seq, data), st = payload
-            if data is TERMINATE:
-                self._termed_sources.add(st.source)
-                if st.source in self._discounted_sources:
-                    # this producer's death already reduced the
-                    # accounting; its in-flight TERM must not count too
-                    self._discounted_sources.discard(st.source)
-                    continue
-                self._terms_seen += 1
-                profile.terminates_seen += 1
+            element = self._accept(payload)
+            if element is None:
                 continue
-            # profile.record_recv inlined (per-element path)
-            profile.elements_received += 1
-            profile.bytes_received += st.nbytes
-            profile.arrival_times.append(engine.now)
-            result = operator(StreamElement(data, st.source, seq, st.nbytes))
+            result = operator(element)
             if inspect.isgenerator(result) or type(result) is ComputeCharge:
                 yield from result
             if ckpt is not None:
-                self._contrib[st.source] = seq
+                self._contrib[element.source] = element.seq
                 self._since_ckpt += 1
                 if self._since_ckpt >= ckpt.interval:
                     yield from self._do_checkpoint()

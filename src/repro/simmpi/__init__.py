@@ -78,7 +78,7 @@ from .launcher import SimResult, run
 from .matching import ANY_SOURCE, ANY_TAG, TAG_UB
 from .noise import NoiseModel
 from .network import Fabric, Network, TransferTiming, build_network
-from .request import PersistentRequest, Request, Status
+from .request import Request, Status
 from .rma import Win
 from .topology import CartComm, cart_create, dims_create
 
@@ -89,7 +89,7 @@ __all__ = [
     "FLOAT", "Fabric", "FatTreeFabric", "File", "FileSystem", "INT",
     "IOConfig", "Intercomm", "InvalidRankError", "InvalidTagError", "LONG",
     "MachineConfig", "Network", "NetworkConfig", "NoiseConfig",
-    "NoiseModel", "PartitionedPlacement", "PersistentRequest", "Placement",
+    "NoiseModel", "PartitionedPlacement", "Placement",
     "PlacementError", "PlacementPolicy", "ProcessFailedError", "Request",
     "RequestError", "RevokedError",
     "RoundRobinPlacement", "SimMPIError", "SimResult", "SizedPayload",

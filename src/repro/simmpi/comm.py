@@ -38,18 +38,18 @@ from .errors import (
 from .matching import ANY_SOURCE, ANY_TAG, TAG_UB, Envelope, Mailbox
 from .network import build_network
 from .noise import NoiseModel
-from .request import PersistentRequest, Request, Status
+from .request import Request, Status
 from . import collectives
 
 _env_new = Envelope.__new__
 
 
 class ComputeCharge(tuple):
-    """The iterable :meth:`Comm.compute` returns on its allocation-free
-    fast path: a tuple of syscalls, distinguishable by type so stream
-    operators that *return* a compute charge (instead of ``yield
-    from``-ing it) are still driven — exactly as when compute returned
-    a generator."""
+    """What :meth:`Comm.compute` returns: a one-``Delay`` tuple whose
+    duration was fixed at the call (C-level iteration, no generator
+    frame).  It is a distinct type so stream operators that *return* a
+    compute charge, instead of ``yield from``-ing it, are still
+    driven."""
 
     __slots__ = ()
 
@@ -145,11 +145,12 @@ class World:
         self.filesystem = None  # attached lazily by iolib
         # hot-path constants (MachineConfig is frozen); the o_send Delay
         # is immutable to the engine, so one shared instance serves
-        # every isend instead of an allocation per message
-        self._o_send = config.network.o_send
+        # every send (point-to-point, stream, RMA) instead of an
+        # allocation per message
+        o_send = config.network.o_send
+        self._o_send_delay = Delay(o_send) if o_send > 0 else None
         self._o_recv = config.network.o_recv
         self._compute_speed = config.compute_speed
-        self._o_send_delay = Delay(self._o_send) if self._o_send > 0 else None
         self._eager_threshold = config.network.eager_threshold
         # noise-free machines skip the NoiseModel call entirely: the
         # persistent factor is exactly 1.0 and no transient draws exist
@@ -157,18 +158,8 @@ class World:
                             and config.noise.quantum_fraction == 0.0)
         # fault injection (repro.faults): None on every fault-free run,
         # so the gates below stay single pointer compares.  The launcher
-        # installs a FaultController and clears _compute_fast and
-        # _noise_fast when the plan carries Slowdown windows.
+        # installs a FaultController when the run has a fault plan.
         self._fault_ctl = None
-        # compute() charges without a generator unless a tracer or a
-        # Slowdown window must see each charge: a cached Delay on a
-        # quiet machine, a freshly inflated one on a noisy machine
-        self._compute_fast = self._noise_free and tracer is None
-        self._noise_fast = not self._noise_free and tracer is None
-        # compute charges are immutable to the engine; deterministic
-        # compute() durations repeat heavily (per-file map costs,
-        # per-element merge costs), so share them
-        self._delay_cache: Dict[float, "ComputeCharge"] = {}
         # one-sided windows: shared _WinState per collective allocation,
         # keyed (comm context, "win", per-comm allocation seq) — the
         # same first-arrival agreement scheme as _subcomm_cache
@@ -380,53 +371,36 @@ class Comm:
     # ------------------------------------------------------------------
     # local time
     # ------------------------------------------------------------------
-    def compute(self, seconds: float, label: str = "compute"):
-        """Charge ``seconds`` of nominal compute time (noise-inflated).
+    def compute(self, seconds: float, label: str = "compute"
+                ) -> ComputeCharge:
+        """Charge ``seconds`` of nominal compute time; drive the result
+        with ``yield from``.
 
-        Returns an iterable to drive with ``yield from``.  With no
-        tracer and no Slowdown window that iterable is a one-Delay
-        tuple — C-level iteration, no generator frame — taken from the
-        world's shared Delay cache on a noise-free machine and inflated
-        by the noise model when the call is made on a noisy one;
-        otherwise it is the full generator with noise inflation, the
-        Slowdown stretch and trace recording.
+        The charge is evaluated at the call: ``seconds`` at the
+        machine's ``compute_speed``, inflated by the noise model unless
+        the machine is noise-free, stretched over the rank's
+        ``Slowdown`` windows from the current time, and recorded as a
+        ``compute`` interval when the run is traced.
         """
         if seconds < 0:
             raise ValueError("negative compute duration")
         world = self.world
-        if world._compute_fast:
-            nominal = seconds / world._compute_speed
-            cache = world._delay_cache
-            charge = cache.get(nominal)
-            if charge is None:
-                if len(cache) >= 4096:
-                    cache.clear()
-                charge = cache[nominal] = ComputeCharge((Delay(nominal),))
-            return charge
-        if world._noise_fast:
-            return ComputeCharge((Delay(world.noise.inflate(
-                self._global, seconds / world._compute_speed)),))
-        return self._compute_gen(seconds, label)
-
-    def _compute_gen(self, seconds: float, label: str
-                     ) -> Generator[Any, Any, None]:
-        world = self.world
-        nominal = seconds / world._compute_speed
-        if world._noise_free:
-            actual = nominal
-        else:
-            actual = world.noise.inflate(self._global, nominal)
-        t0 = world.engine.now
+        actual = seconds / world._compute_speed
+        if not world._noise_free:
+            actual = world.noise.inflate(self._global, actual)
         ctl = world._fault_ctl
         if ctl is not None and ctl.has_slowdowns:
             # straggler windows compose multiplicatively with the noise
             # model: the charge is stretched piecewise over the windows
             # it overlaps
-            actual = ctl.stretch(self._global, t0, actual)
-        yield Delay(actual)
+            actual = ctl.stretch(self._global, world.engine.now, actual)
+        charge = Delay(actual)
         if world.tracer is not None:
-            world.tracer.record(self._global, "compute", label, t0,
-                                world.engine.now)
+            now = world.engine.now
+            # the engine resumes the rank at exactly now + charge.dt
+            world.tracer.record(self._global, "compute", label, now,
+                                now + charge.dt)
+        return ComputeCharge((charge,))
 
     def sleep(self, seconds: float) -> Generator[Any, Any, None]:
         """Raw virtual-time delay, no noise, no trace (harness use)."""
@@ -469,9 +443,9 @@ class Comm:
         self._check_peer(dest)
         self._check_tag(tag)
         nbytes = payload_nbytes(data, datatype, count)
-        o_send = self.world._o_send
-        if o_send > 0:
-            yield Delay(o_send)
+        delay = self.world._o_send_delay
+        if delay is not None:
+            yield delay
         return self.world.post_send(
             self._global, self._peers[dest], self._rank, tag,
             self.context if _ctx is None else _ctx, data, nbytes,
@@ -617,33 +591,6 @@ class Comm:
         if env is None:
             return None
         return Status(env.src, env.tag, env.nbytes)
-
-    # ------------------------------------------------------------------
-    # persistent communication (MPIStream is built on these)
-    # ------------------------------------------------------------------
-    def send_init(self, dest: int, tag: int = 0) -> PersistentRequest:
-        self._check_peer(dest)
-        self._check_tag(tag)
-        return PersistentRequest("send", self, dest, tag)
-
-    def recv_init(self, source: int = ANY_SOURCE, tag: int = ANY_TAG
-                  ) -> PersistentRequest:
-        self._check_peer(source, wildcard=True)
-        self._check_tag(tag, wildcard=True)
-        return PersistentRequest("recv", self, source, tag)
-
-    def start(self, preq: PersistentRequest, data: Any = None
-              ) -> Generator[Any, Any, Request]:
-        """Activate a persistent request (``MPI_Start``).
-
-        For send-type requests ``data`` is the payload of this round."""
-        preq._check_startable()
-        if preq.kind == "send":
-            req = yield from self.isend(data, preq.peer, preq.tag)
-        else:
-            req = preq.comm.irecv(preq.peer, preq.tag)
-        preq.active = req
-        return req
 
     # ------------------------------------------------------------------
     # collectives (implemented in collectives.py)

@@ -309,8 +309,7 @@ class Engine:
             else:
                 callback = partial(self._step, waiters[0], payload)
         elif payload is None:
-            # `resume()` is `_step(proc, None)` for a process, and the
-            # advance method for a schedule cursor — either may wait
+            # `resume()` is `_step(proc, None)`
             def callback() -> None:
                 for proc in waiters:
                     proc.resume()

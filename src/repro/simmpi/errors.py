@@ -36,8 +36,8 @@ class CommunicatorError(SimMPIError):
 
 
 class RequestError(SimMPIError):
-    """Misuse of a request object (double wait, waiting on a freed
-    persistent request, starting an active persistent request...)."""
+    """Misuse of a request object (double wait, reading the result of
+    an incomplete request...)."""
 
 
 class DatatypeError(SimMPIError):

@@ -137,9 +137,6 @@ def run(fn: Callable, nprocs: int,
     if plan is not None:
         ctl = FaultController(engine, world, plan)
         world._fault_ctl = ctl
-        if ctl.has_slowdowns:
-            # straggler windows must see every compute charge
-            world._compute_fast = world._noise_fast = False
 
     handles = []
     world_ranks = tuple(range(nprocs))

@@ -1,19 +1,16 @@
-"""Request objects for non-blocking and persistent operations.
+"""Request objects for non-blocking operations.
 
-A :class:`Request` wraps an :class:`~repro.simmpi.engine.EventFlag`; the
-transport sets the flag when the operation completes (for receives, the
-flag payload is ``(data, Status)``).  ``Comm.wait`` / ``Comm.waitall`` /
-``Comm.waitany`` block on these flags; ``test`` polls them.
-
-Persistent requests (``send_init`` / ``recv_init`` + ``start``) mirror
-MPI persistent communication, which the paper's MPIStream library is
-built on: the argument set is frozen once and each ``start`` spawns a
-fresh transfer with those arguments.
+A :class:`Request` is an :class:`~repro.simmpi.engine.EventFlag`; the
+transport sets it when the operation completes (for receives, the
+payload is ``(data, Status)``).  ``Comm.wait`` / ``Comm.waitall`` /
+``Comm.waitany`` block on these flags; ``test`` polls them.  Streams
+post their sends and receives straight through the transport
+(``World.post_send`` / ``World.post_recv``), one request per element.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from .engine import EventFlag, format_label
 from .errors import RequestError
@@ -79,7 +76,7 @@ class Request(EventFlag):
             raise RequestError(
                 f"request {format_label(self.label)!r} waited on twice; "
                 "requests are "
-                "single-completion objects (use persistent requests to reuse)"
+                "single-completion objects"
             )
         self._waited = True
 
@@ -90,37 +87,3 @@ def completed_request(kind: str, payload: Any = None) -> Request:
     req.flag.is_set = True
     req.flag.payload = payload
     return req
-
-
-class PersistentRequest:
-    """Frozen argument set for repeated point-to-point operations.
-
-    Created by ``Comm.send_init`` / ``Comm.recv_init``; each
-    ``Comm.start`` launches one transfer with these arguments and
-    returns a fresh :class:`Request`.  At most one started transfer may
-    be active at a time, per MPI semantics.
-    """
-
-    __slots__ = ("kind", "comm", "peer", "tag", "data_factory", "active", "freed")
-
-    def __init__(self, kind: str, comm, peer: int, tag: int, data_factory=None):
-        self.kind = kind            # "send" or "recv"
-        self.comm = comm
-        self.peer = peer
-        self.tag = tag
-        self.data_factory = data_factory  # callable -> payload (send side)
-        self.active: Optional[Request] = None
-        self.freed = False
-
-    def _check_startable(self) -> None:
-        if self.freed:
-            raise RequestError("start on a freed persistent request")
-        if self.active is not None and not self.active.done:
-            raise RequestError(
-                "persistent request started while a previous start is active"
-            )
-
-    def free(self) -> None:
-        if self.active is not None and not self.active.done:
-            raise RequestError("free on an active persistent request")
-        self.freed = True

@@ -168,8 +168,9 @@ class Win:
         ctl = world._fault_ctl
         if ctl is not None:
             ctl.check_send(comm.ranks[target], comm.context)
-        if world._o_send > 0:
-            yield Delay(world._o_send)
+        delay = world._o_send_delay
+        if delay is not None:
+            yield delay
         engine = world.engine
         timing = world.network.transfer(
             comm._global, comm.ranks[target], nbytes, ready=engine.now)
@@ -202,8 +203,9 @@ class Win:
         ctl = world._fault_ctl
         if ctl is not None:
             ctl.check_send(comm.ranks[target], comm.context)
-        if world._o_send > 0:
-            yield Delay(world._o_send)
+        delay = world._o_send_delay
+        if delay is not None:
+            yield delay
         engine = world.engine
         latency, _ = world.network._link(comm._global, comm.ranks[target])
         timing = world.network.transfer(

@@ -48,7 +48,7 @@ from .registry import (
     register_extractor,
 )
 from .results import JobResult, ResultSet
-from .runner import execute_job, run_study, simulations_executed, sweep_callable
+from .runner import execute_job, run_study, simulations_executed
 from .study import Study, StudyError
 
 __all__ = [
@@ -78,5 +78,4 @@ __all__ = [
     "resilience_study",
     "run_study",
     "simulations_executed",
-    "sweep_callable",
 ]

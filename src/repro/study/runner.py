@@ -56,8 +56,7 @@ from .registry import apply_extract, build_config, build_machine, get_app
 from .results import JobResult, ResultSet
 from .study import Study, StudyError
 
-__all__ = ["execute_job", "run_study", "simulations_executed",
-           "sweep_callable"]
+__all__ = ["execute_job", "run_study", "simulations_executed"]
 
 #: simulations actually run by THIS process (pool workers count their
 #: own); the cache tests assert it stays flat across a warm re-run
@@ -558,29 +557,3 @@ def _run_pool(specs, keys, pending, jobs, policy: RunPolicy,
 
 def _study_name(specs: Sequence[Dict[str, Any]]) -> str:
     return repr(specs[0].get("study")) if specs else "<empty>"
-
-
-# ----------------------------------------------------------------------
-# the imperative escape hatch
-# ----------------------------------------------------------------------
-
-def sweep_callable(worker: Callable, cfg_factory: Callable[[int], Any],
-                   points: Sequence[int], machine_factory: Callable,
-                   extract: Callable[[Any], float], label: str,
-                   extra_args: tuple = ()):
-    """Run an *arbitrary* worker at every process count, serially.
-
-    This is the imperative pre-study sweep, kept for callables that are
-    not registry apps — it cannot be parallelized or cached (closures
-    don't serialize), which is exactly why declared studies are the
-    primary path.
-    """
-    from ..bench.harness import Series
-
-    series = Series(label)
-    for p in points:
-        cfg = cfg_factory(p)
-        result = run(worker, p, args=(cfg,) + tuple(extra_args),
-                     machine=machine_factory())
-        series.points[p] = float(extract(result))
-    return series

@@ -3,9 +3,11 @@
 Every traced activity is an interval ``(rank, category, label, t0, t1)``.
 The communicator layer records ``compute`` and ``wait`` intervals
 automatically when a tracer is attached; applications can add their own
-phases with :meth:`Tracer.record` or the :meth:`Tracer.phase` helper.
+phases with :meth:`Tracer.record`.  A ``compute`` interval is recorded
+when its charge starts, so a crash ends the dead rank's open intervals
+at the crash time (:meth:`Tracer.end_open`).
 
-The recorder is intentionally dumb — an append-only list — so tracing
+The recorder is intentionally dumb — a list of intervals — so tracing
 overhead never perturbs simulated timing (virtual time only advances
 through engine events).  Analysis and rendering live in
 :mod:`repro.trace.timeline` and :mod:`repro.trace.analysis`.
@@ -33,18 +35,31 @@ class Interval:
 
 
 class Tracer:
-    """Append-only interval store with cheap filters."""
+    """Interval store with cheap filters."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self.intervals: List[Interval] = []
 
     def record(self, rank: int, category: str, label: str,
                t0: float, t1: float) -> None:
-        """Record one interval; no-op when disabled or zero-length."""
-        if not self.enabled or t1 <= t0:
+        """Record one interval; no-op when zero-length."""
+        if t1 <= t0:
             return
         self.intervals.append(Interval(rank, category, label, t0, t1))
+
+    def end_open(self, rank: int, t: float) -> None:
+        """End ``rank``'s intervals still open at ``t`` at ``t`` (a rank
+        killed mid-charge stops computing when it dies); one that would
+        become zero-length is dropped, as :meth:`record` drops it."""
+        intervals = self.intervals
+        for i in range(len(intervals) - 1, -1, -1):
+            iv = intervals[i]
+            if iv.rank == rank and iv.t1 > t:
+                if iv.t0 < t:
+                    intervals[i] = Interval(rank, iv.category, iv.label,
+                                            iv.t0, t)
+                else:
+                    del intervals[i]
 
     def for_rank(self, rank: int) -> List[Interval]:
         return [iv for iv in self.intervals if iv.rank == rank]

@@ -11,7 +11,6 @@ from repro.bench.harness import (
     save_artifact,
     scale_points,
 )
-from repro.simmpi import quiet_testbed
 
 
 def test_scale_points_default():
@@ -57,22 +56,6 @@ def test_deprecated_shims_are_gone():
     assert not hasattr(Series, "ratio_to")
     assert not hasattr(harness, "sweep")
     assert "sweep" not in __import__("repro.bench", fromlist=[""]).__all__
-
-
-def test_sweep_callable_runs_worker_at_each_point():
-    """study.sweep_callable is the imperative replacement for the
-    removed harness.sweep shim."""
-    from repro.study import sweep_callable
-    from repro.study.registry import apply_extract
-
-    def worker(comm, cfg):
-        yield from comm.compute(cfg)
-        return {"elapsed": comm.time}
-
-    s = sweep_callable(worker, lambda p: 0.001 * p, [2, 4], quiet_testbed,
-                       lambda r: apply_extract("max_elapsed", r), label="t")
-    assert s.points[2] == pytest.approx(0.002)
-    assert s.points[4] == pytest.approx(0.004)
 
 
 def test_render_table_contains_all_points_and_labels():

@@ -72,6 +72,21 @@ def test_crash_kills_rank_and_records_crash_time():
     assert r.extras["faults"]["detected"][2] == pytest.approx(0.5001)
 
 
+def test_trace_ends_a_crashed_ranks_charge_at_the_crash():
+    """A compute interval is recorded when its charge starts; the one a
+    rank dies in ends at the crash time, and no other rank's changes."""
+    def prog(comm):
+        yield from comm.compute(0.25, label="first")
+        yield from comm.compute(1.0, label="second")
+        return comm.rank
+
+    r = run(prog, 2, faults=_crash(0.5, 1), trace=True)
+    spans = sorted((iv.rank, iv.label, iv.t0, iv.t1)
+                   for iv in r.tracer.by_category("compute"))
+    assert spans == [(0, "first", 0.0, 0.25), (0, "second", 0.25, 1.25),
+                     (1, "first", 0.0, 0.25), (1, "second", 0.25, 0.5)]
+
+
 def test_blocked_recv_on_dead_rank_resolves_not_deadlocks():
     def prog(comm):
         if comm.rank == 0:

@@ -163,6 +163,17 @@ def test_recovery_demo_apps_run_and_recover():
         assert r.values[-1] is None
 
 
+def test_helper_slowdown_stretches_helper_handling():
+    """Helpers charge their handling through the compute path, so a
+    straggler window on a helper rank slows the stream it serves."""
+    cfg = CGHaloRecoveryConfig(nprocs=32, checkpoint_interval=8)
+    free = run(cg_halo_recovery, 32, args=(cfg,), machine=quiet_testbed())
+    slow = run(cg_halo_recovery, 32, args=(cfg,), machine=quiet_testbed(),
+               faults=FaultPlan([Slowdown(0.0, free.elapsed, rank=31,
+                                          factor=5.0)]))
+    assert slow.elapsed > 1.2 * free.elapsed
+
+
 def test_checkpoint_needs_static_routing():
     from repro.api.errors import GraphError
 

@@ -252,28 +252,6 @@ def test_double_wait_rejected():
         run(prog, 2)
 
 
-def test_persistent_requests_reusable():
-    def prog(comm):
-        if comm.rank == 0:
-            preq = comm.send_init(dest=1, tag=4)
-            for i in range(5):
-                req = yield from comm.start(preq, data=i)
-                yield from comm.wait(req)
-            preq.free()
-            return None
-        preq = comm.recv_init(source=0, tag=4)
-        out = []
-        for _ in range(5):
-            req = yield from comm.start(preq)
-            data, st = yield from comm.wait(req)
-            out.append(data)
-        preq.free()
-        return out
-
-    r = run(prog, 2)
-    assert r.values[1] == [0, 1, 2, 3, 4]
-
-
 def test_iprobe_sees_unexpected_message():
     def prog(comm):
         if comm.rank == 0:

@@ -10,7 +10,6 @@ from repro.simmpi.errors import (
     SimMPIError,
 )
 from repro.simmpi.request import (
-    PersistentRequest,
     Request,
     Status,
     completed_request,
@@ -46,19 +45,6 @@ def test_completed_request():
     assert req.done
     assert req.result() == "v"
     assert req.test()
-
-
-def test_persistent_request_lifecycle_errors():
-    preq = PersistentRequest("send", None, peer=0, tag=0)
-    preq.active = Request("send")  # simulate an active start
-    with pytest.raises(RequestError):
-        preq._check_startable()
-    with pytest.raises(RequestError):
-        preq.free()  # active -> cannot free
-    preq.active.flag.is_set = True
-    preq.free()
-    with pytest.raises(RequestError):
-        preq._check_startable()  # freed -> cannot start
 
 
 def test_freed_communicator_rejects_operations():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.apps.mapreduce import MapReduceConfig, decoupled_worker
 from repro.bench.perf import result_digest
+from repro.faults import FaultPlan, Slowdown
 from repro.simmpi import MachineConfig, beskow, run
 from repro.simmpi.config import NoiseConfig
 from repro.simmpi.noise import NoiseModel
@@ -222,24 +223,32 @@ def test_without_transient_noise_inflation_is_exactly_the_skew():
 
 
 # ----------------------------------------------------------------------
-# the charge tuple against the generator path, and import cost
+# traced and untraced charges, and import cost
 # ----------------------------------------------------------------------
 
-def test_noisy_run_digest_is_the_same_traced_and_untraced():
-    """Untraced noisy charges are inflated when compute() is called and
-    traced ones when their generator runs; per-rank noise streams make
-    the two paths give the same results."""
+@pytest.mark.parametrize("faults", [
+    None,
+    FaultPlan([Slowdown(5.0, 30.0, rank=3, factor=3.0)]),
+], ids=["plain", "slowdown"])
+def test_noisy_run_digest_is_the_same_traced_and_untraced(faults):
+    """Tracing only records each charge: a noisy run, with or without a
+    straggler window, gives the same results traced and untraced."""
     cfg = MapReduceConfig(nprocs=16, nchunks=4, seed=3)
     machine = beskow(noise_seed=8)
-    plain = run(decoupled_worker, 16, args=(cfg,), machine=machine)
+    plain = run(decoupled_worker, 16, args=(cfg,), machine=machine,
+                faults=faults)
     traced = run(decoupled_worker, 16, args=(cfg,), machine=machine,
-                 trace=True)
+                 faults=faults, trace=True)
     assert traced.tracer is not None
     assert result_digest(traced) == result_digest(plain)
     quiet = machine.with_(noise=NoiseConfig(persistent_skew=0.0,
                                             quantum_fraction=0.0))
     assert result_digest(run(decoupled_worker, 16, args=(cfg,),
-                             machine=quiet)) != result_digest(plain)
+                             machine=quiet, faults=faults)) \
+        != result_digest(plain)
+    if faults is not None:
+        assert result_digest(run(decoupled_worker, 16, args=(cfg,),
+                                 machine=machine)) != result_digest(plain)
 
 
 def test_import_and_beskow_leave_numpy_random_unimported():

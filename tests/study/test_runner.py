@@ -14,7 +14,6 @@ from repro.study import (
     job_key,
     run_study,
     simulations_executed,
-    sweep_callable,
 )
 from repro.study import cache as study_cache
 
@@ -207,21 +206,3 @@ def test_env_defaults_for_jobs_and_cache(tmp_path, monkeypatch):
     run_study(study)
     warm = run_study(study)
     assert warm.executed == 0 and warm.cached == len(warm)
-
-
-# ----------------------------------------------------------------------
-# the imperative escape hatch
-# ----------------------------------------------------------------------
-
-def test_sweep_callable_runs_arbitrary_workers():
-    from repro.simmpi import quiet_testbed
-
-    def worker(comm, cfg):
-        yield from comm.compute(cfg)
-        return {"elapsed": comm.time}
-
-    s = sweep_callable(worker, lambda p: 0.001 * p, [2, 4], quiet_testbed,
-                       lambda r: max(v["elapsed"] for v in r.values),
-                       label="t")
-    assert s.points[2] == pytest.approx(0.002)
-    assert s.points[4] == pytest.approx(0.004)

@@ -43,10 +43,12 @@ def test_zero_length_dropped():
     assert tr.intervals == []
 
 
-def test_disabled_tracer_records_nothing():
-    tr = Tracer(enabled=False)
-    tr.record(0, "compute", "a", 0, 1)
-    assert tr.intervals == []
+def test_end_open_ends_only_that_ranks_open_intervals():
+    tr = _t([(0, "compute", "a", 0, 1), (0, "compute", "b", 1, 3),
+             (1, "compute", "c", 1, 3), (0, "compute", "d", 2, 4)])
+    tr.end_open(0, 2)
+    assert [(iv.rank, iv.label, iv.t0, iv.t1) for iv in tr.intervals] == [
+        (0, "a", 0, 1), (0, "b", 1, 2), (1, "c", 1, 3)]
 
 
 def test_total_time_and_breakdown():
