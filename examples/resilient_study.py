@@ -1,17 +1,17 @@
 #!/usr/bin/env python
-"""Survive a misbehaving cell, then resume the sweep.
+"""Survive a misbehaving cell, then rerun the sweep against the cache.
 
 Long sweeps fail in boring ways — one parameter combination raises, or
-flakes, or hangs.  A :class:`repro.study.RunPolicy` makes the failure
-posture part of the study: per-job wall-clock timeouts, deterministic
-retry backoff, and ``keep_going`` — record the failure as data, finish
-everything else, and render the hole honestly.
+hangs.  A :class:`repro.study.RunPolicy` makes the failure posture part
+of the study: per-job wall-clock timeouts and ``keep_going`` — record
+the failure as data, finish everything else, and render the hole
+honestly.
 
 This example runs a healthy sweep of the built-in ``study.chaos``
-workload next to one *flaky* cell (fails on its first attempt, then
-succeeds) and one *poisoned* cell (always fails).  The first pass
-completes with exactly one hole; the second pass resumes from the
-journal kept under the cache dir, re-executing only the poisoned cell.
+workload next to one *poisoned* cell (always fails).  The first pass
+completes with exactly one hole; the second pass is a plain rerun
+against the same cache, which serves the healthy cells and re-executes
+only the poisoned one.
 
 Run:  python examples/resilient_study.py
 """
@@ -24,22 +24,17 @@ from repro.study import RunPolicy, Study, run_study
 
 WORKDIR = os.path.join(tempfile.gettempdir(), "repro-resilient-example")
 CACHE = os.path.join(WORKDIR, "cache")
-FLAKE = os.path.join(WORKDIR, "flake-marker")
 
 study = (
     Study("resilient-demo",
-          title="Healthy sweep + one flaky + one poisoned cell (s)")
+          title="Healthy sweep + one poisoned cell (s)")
     .axis("nprocs", [8, 16])
     .axis("bad_nprocs", [4])
     .cell("Healthy", app="study.chaos")
-    .cell("Flaky", app="study.chaos", params={"flake_path": FLAKE},
-          x_axis="bad_nprocs")
     .cell("Poison", app="study.chaos", params={"fail": True},
           x_axis="bad_nprocs")
-    # one retry with fast backoff rescues the flake; the poison fails
-    # both attempts and becomes a hole instead of aborting the sweep
-    .with_policy(RunPolicy(retries=1, backoff=0.05, timeout=30.0,
-                           on_error="keep_going"))
+    # the poison becomes a hole instead of aborting the sweep
+    .with_policy(RunPolicy(timeout=30.0, on_error="keep_going"))
 )
 
 
@@ -51,15 +46,15 @@ def main():
     rs = run_study(study, cache=CACHE, progress=print)
     print()
     print(rs.table())
-    flaky = [r for r in rs.results if r.series == "Flaky"][0]
-    print(f"\nflaky cell recovered on attempt {flaky.attempts}; "
-          f"{rs.failed} cell(s) failed for good:")
-    for bad in rs.failures():
-        print(f"  {bad.series} @ P={bad.x}: {bad.describe_failure()}")
+    assert rs.failed == 1 and rs.ok == 2, rs
 
-    print("\n--- second pass: resume from the journal ---")
-    again = run_study(study, cache=CACHE, resume=True, progress=print)
-    print(f"\n{again.cached} served without re-execution, "
+    print("\n--- second pass: rerun against the same cache ---")
+    again = run_study(study, cache=CACHE, progress=print)
+    assert again.cached == 2 and again.executed == 1, again
+    assert again.failed == 1, again
+    for x in (8, 16):
+        assert again.value("Healthy", x) == rs.value("Healthy", x)
+    print(f"\n{again.cached} served from the cache, "
           f"{again.executed} re-executed (the poison got a fresh "
           f"chance and failed again)")
 

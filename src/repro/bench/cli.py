@@ -6,8 +6,8 @@
     python -m repro.bench study placement --points 32,128 --csv placement.csv
     python -m repro.bench study fig5 --cache DIR --expect-cached   # CI gate
     python -m repro.bench study fig5 --cache DIR --keep-going \
-        --timeout 60 --retries 2          # survive bad cells, then
-    python -m repro.bench study fig5 --cache DIR --resume   # finish holes
+        --timeout 60          # survive bad cells; the same command
+                              # again re-executes only the failed ones
 
 The ``fig*`` subcommands are kept as thin aliases over the same study
 declarations: they regenerate one figure (or ``all``), printing the
@@ -26,7 +26,6 @@ equivalence, golden gating) and emits ``BENCH_perf.json``::
     python -m repro.bench perf --scenario fig5-1024 --profile
     python -m repro.bench perf --scenario quickstart \
         --check-golden benchmarks/golden/quickstart_perf.json
-    python -m repro.bench perf --compare old_BENCH_perf.json --out .
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from .figures import (
@@ -157,7 +157,7 @@ def list_studies() -> str:
 
 def run_study_cmd(args) -> int:
     """The ``study`` subcommand: run one catalog study end to end."""
-    from ..study import StudyError, get_study, run_study
+    from ..study import RunPolicy, StudyError, get_study, run_study
     from ..study.catalog import CATALOG
 
     if args.list:
@@ -178,36 +178,30 @@ def run_study_cmd(args) -> int:
         raise SystemExit(
             "--expect-cached asserts a warm cache; give --cache DIR "
             "(or set $REPRO_STUDY_CACHE)")
-    if args.resume and not (args.cache
-                            or os.environ.get("REPRO_STUDY_CACHE")):
-        raise SystemExit(
-            "--resume reads the run journal kept under the cache dir; "
-            "give --cache DIR (or set $REPRO_STUDY_CACHE)")
     # --points absent: pass None so each study keeps its own default
     # axis (the fig studies default to scale_points(); cosim's default
     # is deliberately small — its sweep is 16 cells per point)
     study = get_study(
         args.name,
         points=_parse_points(args.points) if args.points else None)
-    # only build a policy when a flag asks for one, so the study's own
-    # declared policy (e.g. the resilience study's keep_going) applies
-    policy = None
-    if args.keep_going or args.timeout is not None or args.retries is not None:
-        from ..study import RunPolicy
-        policy = RunPolicy(
-            timeout=args.timeout,
-            retries=args.retries if args.retries is not None else 0,
-            on_error="keep_going" if args.keep_going else "raise")
+    # a flag overrides only the policy field it names, so the rest of
+    # the study's declared policy (e.g. the resilience study's
+    # keep_going) still applies
+    policy = study.run_policy or RunPolicy()
+    if args.timeout is not None:
+        policy = replace(policy, timeout=args.timeout)
+    if args.keep_going:
+        policy = replace(policy, on_error="keep_going")
     try:
         rs = run_study(study, jobs=args.jobs, cache=args.cache,
-                       progress=print, policy=policy, resume=args.resume)
+                       progress=print, policy=policy)
     except StudyError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
     print(rs.table())
     print(f"jobs: {len(rs)} total, {rs.executed} executed, "
           f"{rs.cached} cached, {rs.failed} failed, "
-          f"{rs.quarantined} quarantined, {rs.missing} missing")
+          f"{rs.quarantined} quarantined")
     for r in rs.failures():
         print(f"  {r.series} @ P={r.x}: {r.describe_failure()} "
               f"({r.attempts} attempt(s))")
@@ -215,7 +209,7 @@ def run_study_cmd(args) -> int:
         f"{study.name}_study", rs.to_series(),
         extra={"total": len(rs), "executed": rs.executed,
                "cached": rs.cached, "failed": rs.failed,
-               "quarantined": rs.quarantined, "missing": rs.missing},
+               "quarantined": rs.quarantined},
         out_dir=args.out)
     print(f"artifact: {path}")
     if args.csv:
@@ -231,13 +225,11 @@ def run_study_cmd(args) -> int:
 
 def run_perf(args) -> int:
     """The ``perf`` subcommand: simulator events/sec + regression gate."""
-    import json
-
     from . import perf
 
     if args.list:
         if args.scenario or args.check_golden or args.write_golden \
-                or args.profile or args.compare:
+                or args.profile:
             raise SystemExit("--list enumerates the perf scenarios; it "
                              "does not run anything")
         print(perf.list_scenarios())
@@ -260,11 +252,11 @@ def run_perf(args) -> int:
         if len(names) != 1:
             raise SystemExit("golden check/write needs exactly one "
                              "--scenario")
-        if args.profile or args.no_oracle or args.compare or args.out:
+        if args.profile or args.no_oracle or args.out:
             raise SystemExit(
                 "--check-golden/--write-golden run a single gating "
                 "measurement; they cannot be combined with --profile, "
-                "--no-oracle, --compare or --out")
+                "--no-oracle or --out")
         record = perf.run_scenario(names[0])
         print(f"{names[0]}: {record.events} events in "
               f"{record.wall_s:.3f}s = {record.events_per_sec:.0f} "
@@ -282,23 +274,10 @@ def run_perf(args) -> int:
               f"{args.check_golden}")
         return 0
 
-    compare = None
-    if args.compare:
-        with open(args.compare) as fh:
-            compare = json.load(fh)
-        # wall-clock comparisons only mean something on like hardware;
-        # warn (never fail — identity gates are hardware-independent)
-        before_cpus = compare.get("meta", {}).get("cpu_count")
-        if before_cpus is not None and before_cpus != os.cpu_count():
-            print(f"warning: --compare baseline was measured on "
-                  f"{before_cpus} cores but this machine has "
-                  f"{os.cpu_count()}; before/after speedups are not "
-                  "apples to apples", file=sys.stderr)
     try:
         payload = perf.run_suite(names,
                                  check_oracle=not args.no_oracle,
-                                 profile=args.profile,
-                                 compare=compare)
+                                 profile=args.profile)
     except perf.PerfError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
@@ -358,18 +337,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              metavar="S",
                              help="per-job wall-clock timeout in seconds "
                                   "(study command only)")
-    study_group.add_argument("--retries", type=int, default=None,
-                             metavar="N",
-                             help="retry each failed/timed-out job up to "
-                                  "N times with exponential backoff "
-                                  "(study command only)")
-    study_group.add_argument("--resume", action="store_true",
-                             help="resume from the previous run's journal "
-                                  "under the cache dir: completed cells "
-                                  "are served without re-execution, only "
-                                  "failed/timed-out/quarantined cells "
-                                  "re-run (needs --cache; study command "
-                                  "only)")
     perf_group = parser.add_argument_group("perf options")
     perf_group.add_argument("--scenario", action="append", default=None,
                             metavar="NAME",
@@ -382,9 +349,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     perf_group.add_argument("--no-oracle", action="store_true",
                             help="skip the slow-path equivalence runs "
                                  "(faster, but no bit-identical check)")
-    perf_group.add_argument("--compare", default=None, metavar="FILE",
-                            help="older BENCH_perf.json to compute "
-                                 "before/after speedups against")
     perf_group.add_argument("--check-golden", default=None, metavar="FILE",
                             help="compare one scenario's virtual-time "
                                  "results against a committed golden file "
@@ -401,15 +365,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"unexpected argument {args.name!r}: only the 'study' "
             "command takes a name")
     if (args.csv or args.expect_cached or args.list or args.keep_going
-            or args.timeout is not None or args.retries is not None
-            or args.resume):
+            or args.timeout is not None):
         # refuse rather than silently ignore: a no-op --expect-cached
         # would green-light a broken cache gate, and a silently dropped
         # --keep-going would turn a partial-results request into an
         # abort-on-first-failure run
         raise SystemExit(
-            "--csv/--expect-cached/--list/--keep-going/--timeout/"
-            "--retries/--resume only apply to the 'study' command")
+            "--csv/--expect-cached/--list/--keep-going/--timeout "
+            "only apply to the 'study' command")
     points = _parse_points(args.points)
     names = ALL_FIGURES if args.figure == "all" else (args.figure,)
     for name in names:

@@ -637,18 +637,10 @@ def _meta() -> Dict[str, Any]:
 def run_suite(names: Optional[List[str]] = None,
               check_oracle: bool = True,
               profile: bool = False,
-              compare: Optional[Dict[str, Any]] = None,
               repeats: int = 2) -> Dict[str, Any]:
-    """Run scenarios; return the BENCH_perf payload.
-
-    ``compare`` is a previously emitted payload (e.g. measured at an
-    older commit): its per-scenario events/sec are merged in as
-    ``before`` and speedups are computed against them.
-    """
+    """Run scenarios; return the BENCH_perf payload."""
     names = list(names or DEFAULT_SCENARIOS)
     payload: Dict[str, Any] = {"meta": _meta(), "scenarios": {}}
-    if compare is not None:
-        payload["before_meta"] = compare.get("meta", {})
     for name in names:
         entry: Dict[str, Any] = {}
         if check_oracle and SCENARIOS[name].slow_path != "none":
@@ -663,15 +655,6 @@ def run_suite(names: Optional[List[str]] = None,
             fast = run_scenario(name, "fast", repeats=repeats,
                                 isolate=True)
             entry["fast"] = fast.to_json()
-        if compare is not None:
-            before = (compare.get("scenarios", {}).get(name, {})
-                      .get("fast", compare.get("scenarios", {})
-                           .get(name)))
-            if before:
-                entry["before"] = before
-                if before.get("events_per_sec"):
-                    entry["speedup_vs_before"] = round(
-                        fast.events_per_sec / before["events_per_sec"], 3)
         if profile:
             entry["profile"] = profile_scenario(name)
         payload["scenarios"][name] = entry
@@ -741,13 +724,12 @@ def render_report(payload: Dict[str, Any]) -> str:
               f"{'wall (s)':>9} | {'events/s':>10} | {'speedup':>8}")
     lines += [header, "-" * 74]
     for name, entry in payload["scenarios"].items():
-        for variant in ("before", "oracle", "fast"):
+        for variant in ("oracle", "fast"):
             rec = entry.get(variant)
             if not rec:
                 continue
             if variant == "fast":
-                speedup = (entry.get("speedup_vs_before")
-                           or entry.get("speedup_vs_oracle"))
+                speedup = entry.get("speedup_vs_oracle")
                 tag = f"{speedup:>7.2f}x" if speedup else f"{'':>8}"
             else:
                 tag = f"{'':>8}"

@@ -10,11 +10,10 @@ piece of data instead of a Python call tree:
 * :func:`run_study` — executes the jobs across a process pool with a
   content-addressed on-disk result cache (job spec + code version;
   virtual-time determinism makes caching exact), under a
-  :class:`RunPolicy` (per-job wall-clock timeouts, deterministic retry
-  backoff, ``keep_going`` partial results, quarantine of cells that
-  kill their worker) with a :class:`RunJournal` under the cache dir
-  making crashed or partially-failed sweeps resumable
-  (``resume=True``).
+  :class:`RunPolicy` (per-job wall-clock timeouts, ``keep_going``
+  partial results); cells that kill their worker are quarantined.  The
+  cache is also how a crashed or partially-failed sweep resumes: a
+  rerun re-executes only the cells it has no entry for.
 * :class:`ResultSet` — query (``series``, ``ratio``), render
   (``table``) and export (``to_json``, ``to_csv``) the results.
 * :mod:`~repro.study.catalog` — the paper's figures (fig5-fig8, the
@@ -36,7 +35,6 @@ from .catalog import (
     placement_study,
     resilience_study,
 )
-from .journal import RunJournal
 from .policy import RunPolicy
 from .registry import (
     APPS,
@@ -58,7 +56,6 @@ __all__ = [
     "EXTRACTORS",
     "JobResult",
     "ResultSet",
-    "RunJournal",
     "RunPolicy",
     "Study",
     "StudyError",

@@ -238,9 +238,9 @@ def resilience_study(points: Optional[Sequence[int]] = None,
     ``study-resilience`` CI job runs it): under the study's default
     ``keep_going`` policy the run completes with *exactly one* failed
     cell — the poisoned one, swept over its own single-point axis — and
-    a ``--resume`` rerun serves every healthy cell from the journal/
-    cache while re-executing only the poison.  Healthy values are
-    deterministic, so serial, parallel and resumed runs agree
+    a rerun against the same cache serves every healthy cell from it
+    while re-executing only the poison.  Healthy values are
+    deterministic, so serial, parallel and cached runs agree
     bit-for-bit.
     """
     return (

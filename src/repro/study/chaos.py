@@ -4,11 +4,10 @@ The resilient runner needs something to be resilient *to*: this app is
 a tiny deterministic workload whose config can flip it into every
 failure mode the runner handles — a clean deterministic exception
 (``fail``), a hard worker death (``exit_code``, the OOM-kill /
-``os._exit`` shape that breaks a process pool), a wall-clock hang
-(``hang_s``, for timeout policies) and a fail-once-then-succeed flake
-(``flake_path``, for retry policies).  Healthy cells compute a fixed
+``os._exit`` shape that breaks a process pool) and a wall-clock hang
+(``hang_s``, for timeout policies).  Healthy cells compute a fixed
 virtual-time profile, so fault-free values are bit-identical across
-serial, parallel and resumed runs — exactly the property the
+serial, parallel and cached reruns — exactly the property the
 resilience tests and the ``study-resilience`` CI job assert.
 
 It is a *built-in* registry app (``"study.chaos"``) so the CLI and CI
@@ -43,9 +42,6 @@ class ChaosConfig:
     #: virtual time is unaffected, so a generous-timeout run stays
     #: bit-identical to a no-hang run)
     hang_s: float = 0.0
-    #: if set, fail with :class:`ChaosError` once per path: the first
-    #: attempt creates the file and raises, later attempts succeed
-    flake_path: str = ""
     #: virtual compute seconds that shape the healthy result
     work_s: float = 0.001
 
@@ -64,12 +60,6 @@ def chaos_worker(comm, cfg: ChaosConfig):
             raise ChaosError(
                 "chaos: exit_code is set but this is not a pool worker; "
                 "refusing to kill the host process")
-        if cfg.flake_path:
-            if not os.path.exists(cfg.flake_path):
-                with open(cfg.flake_path, "w") as fh:
-                    fh.write("flaked\n")
-                raise ChaosError(
-                    f"chaos: first attempt flake at {cfg.flake_path}")
         if cfg.fail:
             raise ChaosError(
                 f"chaos: flagged cell failed at nprocs={cfg.nprocs}")

@@ -1,87 +1,53 @@
-"""How a study run treats time, failure and retries: :class:`RunPolicy`.
+"""How a study run treats time and failure: :class:`RunPolicy`.
 
 A policy is *runner* input, not *job* input: it changes how cells are
-scheduled, retried and reported, never what a cell computes — which is
-why it is deliberately **not** part of the cache key
+timed out and reported, never what a cell computes — which is why it
+is deliberately **not** part of the cache key
 (:data:`~repro.study.cache.EXECUTION_FIELDS` does not include it).  A
 study may carry a default policy (``Study.with_policy``) that rides in
 ``to_json()`` next to — not inside — the cells, and ``run_study``'s
 ``policy=`` argument overrides it.
-
-Backoff is exponential with *deterministic* jitter: the jitter fraction
-for attempt ``k`` of a job is derived from ``sha256(job_key:k)``, so a
-rerun of the same study spreads its retries identically — no wall-clock
-or RNG state leaks into scheduling decisions.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional
 
 from .study import StudyError
 
-__all__ = ["ON_ERROR_MODES", "RunPolicy", "backoff_delay"]
+__all__ = ["ON_ERROR_MODES", "RunPolicy"]
 
-#: what to do when a cell exhausts its retries
+#: what to do when a cell fails, times out or is quarantined
 ON_ERROR_MODES = ("raise", "keep_going")
 
 
 @dataclass(frozen=True)
 class RunPolicy:
-    """Per-run resilience knobs for :func:`~repro.study.runner.run_study`.
+    """Per-run resilience settings for :func:`~repro.study.runner.run_study`.
 
     ``timeout`` — per-job wall-clock limit in seconds (None = no limit;
     enforced via ``SIGALRM`` inside the executing process, so it works
     identically in-process and in pool workers).
-    ``retries`` — extra attempts after a failed or timed-out attempt.
-    ``backoff`` / ``backoff_cap`` / ``jitter`` — retry ``k`` waits
-    ``min(cap, backoff * 2**(k-1)) * (1 + j)`` seconds where ``j`` in
-    ``[0, jitter]`` is deterministic per (job key, attempt).
     ``on_error`` — ``"raise"`` aborts the study on the first cell that
-    exhausts its retries (the historical behavior); ``"keep_going"``
-    records the failure in the :class:`~repro.study.results.JobResult`
-    and keeps executing the other cells.
-    ``respawn_budget`` — how many times a broken process pool (worker
-    OOM-killed, ``os._exit``, SIGKILL) may be respawned per run.
-    ``quarantine_strikes`` — a cell that was in flight when the pool
-    broke this many times in a row is quarantined (never resubmitted)
-    instead of being allowed to sink the study; a clean completion
-    resets a cell's strikes.
+    fails, times out or is quarantined (the historical behavior);
+    ``"keep_going"`` records the failure in the
+    :class:`~repro.study.results.JobResult` and keeps executing the
+    other cells.
     """
 
     timeout: Optional[float] = None
-    retries: int = 0
-    backoff: float = 0.25
-    backoff_cap: float = 30.0
-    jitter: float = 0.5
     on_error: str = "raise"
-    respawn_budget: int = 3
-    quarantine_strikes: int = 2
 
     def __post_init__(self) -> None:
         if self.timeout is not None and not self.timeout > 0:
             raise StudyError(
                 f"policy timeout must be positive seconds or None, "
                 f"got {self.timeout!r}")
-        if self.retries < 0:
-            raise StudyError(f"policy retries must be >= 0, got {self.retries}")
-        if self.backoff < 0 or self.backoff_cap < 0 or self.jitter < 0:
-            raise StudyError(
-                "policy backoff/backoff_cap/jitter must be >= 0, got "
-                f"{self.backoff!r}/{self.backoff_cap!r}/{self.jitter!r}")
         if self.on_error not in ON_ERROR_MODES:
             raise StudyError(
                 f"policy on_error must be one of {list(ON_ERROR_MODES)}, "
                 f"got {self.on_error!r}")
-        if self.respawn_budget < 0:
-            raise StudyError(
-                f"policy respawn_budget must be >= 0, got {self.respawn_budget}")
-        if self.quarantine_strikes < 1:
-            raise StudyError(
-                "policy quarantine_strikes must be >= 1, got "
-                f"{self.quarantine_strikes}")
 
     @property
     def keep_going(self) -> bool:
@@ -104,19 +70,3 @@ class RunPolicy:
                 f"run policy has unknown keys {sorted(unknown)}; "
                 f"allowed: {sorted(cls.__dataclass_fields__)}")
         return cls(**data)
-
-
-def backoff_delay(policy: RunPolicy, job_key: str, failure: int) -> float:
-    """Seconds to wait before retry number ``failure`` (1-based).
-
-    Exponential in the failure count, capped, with a jitter fraction
-    derived from ``sha256(job_key:failure)`` — deterministic for a given
-    job and attempt, decorrelated across jobs (a whole study retrying at
-    once does not thundering-herd the machine).
-    """
-    if failure < 1:
-        return 0.0
-    base = min(policy.backoff_cap, policy.backoff * (2.0 ** (failure - 1)))
-    digest = hashlib.sha256(f"{job_key}:{failure}".encode()).digest()
-    frac = int.from_bytes(digest[:8], "big") / float(1 << 64)
-    return base * (1.0 + policy.jitter * frac)

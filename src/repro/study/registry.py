@@ -169,7 +169,7 @@ def _register_builtin_apps() -> None:
                 "hub (machine.cosim.* sets the hub knobs)"),
         AppSpec("study.chaos", chaos_worker, ChaosConfig,
                 "deterministic misbehaving workload for runner-"
-                "resilience studies (fail/exit_code/hang_s/flake_path)"),
+                "resilience studies (fail/exit_code/hang_s)"),
     ):
         register_app(spec)
 

@@ -9,14 +9,14 @@ ratio of two lines), ``rs.table()`` (the paper-style text table),
 ``executed`` / ``cached`` accounting the cache-gating CI job asserts
 on.
 
-Since the resilient-runner redesign, *failure is data*: a
-:class:`JobResult` carries ``status`` (``"ok"``, ``"failed"``,
-``"timeout"``, ``"quarantined"``, ``"missing"``), the ``error`` text
-and the ``attempts`` count, and a partially-failed study renders
-honestly — failed cells are blank in ``table()``, carry an empty value
-and their status in ``to_csv()``, surface in ``to_json()``, and
-``Series.value`` names the failure instead of pretending the point was
-never swept.
+*Failure is data*: a :class:`JobResult` carries ``status`` (``"ok"``,
+``"failed"``, ``"timeout"``, ``"quarantined"``), the ``error`` text and
+the ``attempts`` count (2 only for a cell that a pool break made the
+runner re-run alone), and a partially-failed study
+renders honestly — failed cells are blank in ``table()``, carry an
+empty value and their status in ``to_csv()``, surface in
+``to_json()``, and ``Series.value`` names the failure instead of
+pretending the point was never swept.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from .study import Study, StudyError
 __all__ = ["FAILURE_STATUSES", "JobResult", "ResultSet", "STATUSES"]
 
 #: every status a JobResult may carry ("ok" first)
-STATUSES = ("ok", "failed", "timeout", "quarantined", "missing")
+STATUSES = ("ok", "failed", "timeout", "quarantined")
 
 #: the statuses that mean "this cell has no value"
-FAILURE_STATUSES = ("failed", "timeout", "quarantined", "missing")
+FAILURE_STATUSES = ("failed", "timeout", "quarantined")
 
 
 @dataclass
@@ -48,11 +48,11 @@ class JobResult:
     value: Optional[float]
     sim: Dict[str, Any] = field(default_factory=dict)
     cached: bool = False
-    #: "ok" | "failed" | "timeout" | "quarantined" | "missing"
+    #: "ok" | "failed" | "timeout" | "quarantined"
     status: str = "ok"
     #: the final attempt's error text (None when ok)
     error: Optional[str] = None
-    #: how many times the cell was started (retries + pool resubmits)
+    #: how many times the cell was started (pool breaks re-run cells)
     attempts: int = 1
 
     def __post_init__(self) -> None:
@@ -83,23 +83,11 @@ class JobResult:
 
 
 class ResultSet:
-    """All results of one study run, queryable by series label.
+    """All results of one study run, queryable by series label."""
 
-    ``results`` may contain ``None`` placeholders (a slot the runner
-    never settled); they are *counted* — in :attr:`missing` — never
-    silently dropped, so partial result sets stay honest.
-    """
-
-    def __init__(self, study: Study,
-                 results: Iterable[Optional[JobResult]]):
+    def __init__(self, study: Study, results: Iterable[JobResult]):
         self.study = study
-        self.results: List[JobResult] = []
-        self._none_slots = 0
-        for r in results:
-            if r is None:
-                self._none_slots += 1
-                continue
-            self.results.append(r)
+        self.results: List[JobResult] = list(results)
         self._by_label: Dict[str, Dict[int, JobResult]] = {}
         for r in self.results:
             self._by_label.setdefault(r.series, {})[r.x] = r
@@ -111,13 +99,11 @@ class ResultSet:
     def executed(self) -> int:
         """Jobs that actually ran simulation attempts this time
         (successful or not); zero on a fully cached warm rerun."""
-        return sum(1 for r in self.results
-                   if not r.cached and r.status != "missing")
+        return sum(1 for r in self.results if not r.cached)
 
     @property
     def cached(self) -> int:
-        """Jobs served without simulation work (result cache or
-        resumed journal)."""
+        """Jobs served from the result cache, without simulation work."""
         return sum(1 for r in self.results if r.cached)
 
     @property
@@ -127,33 +113,26 @@ class ResultSet:
 
     @property
     def failed(self) -> int:
-        """Jobs that exhausted their retries (failures + timeouts)."""
+        """Jobs that failed or timed out."""
         return sum(1 for r in self.results
                    if r.status in ("failed", "timeout"))
 
     @property
     def quarantined(self) -> int:
-        """Jobs benched after repeatedly breaking the worker pool."""
+        """Jobs benched after breaking the worker pool on their own."""
         return sum(1 for r in self.results if r.status == "quarantined")
-
-    @property
-    def missing(self) -> int:
-        """Cells with no result at all — never-settled slots plus
-        ``None`` placeholders handed to the constructor."""
-        return self._none_slots + sum(
-            1 for r in self.results if r.status == "missing")
 
     @property
     def complete(self) -> bool:
         """True when every cell produced a value."""
-        return self.ok == len(self.results) + self._none_slots
+        return self.ok == len(self.results)
 
     def failures(self) -> List[JobResult]:
         """The non-ok results, in job order."""
         return [r for r in self.results if not r.ok]
 
     def __len__(self) -> int:
-        return len(self.results) + self._none_slots
+        return len(self.results)
 
     # ------------------------------------------------------------------
     # queries
@@ -218,15 +197,11 @@ class ResultSet:
         out = render_table(title or self.study.title, self.to_series(),
                            unit=self.study.unit)
         holes = self.failures()
-        if holes or self._none_slots:
-            lines = [out, f"{len(holes) + self._none_slots} cell(s) "
-                          "without a value:"]
+        if holes:
+            lines = [out, f"{len(holes)} cell(s) without a value:"]
             for r in holes:
                 lines.append(f"  {r.series} @ P={r.x}: "
                              f"{r.describe_failure()}")
-            if self._none_slots:
-                lines.append(f"  (+{self._none_slots} unidentified "
-                             "missing slot(s))")
             out = "\n".join(lines)
         return out
 
@@ -267,5 +242,4 @@ class ResultSet:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"ResultSet({self.study.name!r}, jobs={len(self)}, "
                 f"executed={self.executed}, cached={self.cached}, "
-                f"failed={self.failed}, quarantined={self.quarantined}, "
-                f"missing={self.missing})")
+                f"failed={self.failed}, quarantined={self.quarantined})")

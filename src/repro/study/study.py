@@ -182,8 +182,8 @@ class Study:
     def with_policy(self, policy: Any) -> "Study":
         """Attach a default :class:`~repro.study.policy.RunPolicy`.
 
-        The policy is *runner* input — how cells are timed out, retried
-        and reported — never *job* input: it rides in ``to_json()``
+        The policy is *runner* input — how cells are timed out and
+        reported — never *job* input: it rides in ``to_json()``
         next to the cells but is deliberately absent from every job
         spec, so attaching or editing a policy never changes a cache
         key.  ``run_study(policy=...)`` overrides it.

@@ -96,10 +96,11 @@ def test_cli_study_only_flags_rejected_for_figures():
         main(["all", "--csv", "/tmp/x.csv"])
 
 
-def test_cli_study_keep_going_and_resume(capsys, monkeypatch, tmp_path):
+def test_cli_study_keep_going_and_rerun(capsys, monkeypatch, tmp_path):
     """The resilience path end to end: a run with a poisoned cell exits
-    0 under --keep-going with the failure in the artifact, and --resume
-    re-executes only the poisoned cell."""
+    0 under --keep-going with the failure in the artifact, and the same
+    command rerun against the cache re-executes only the poisoned
+    cell."""
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
     monkeypatch.setenv("REPRO_POINTS", "8,16")
     cache = str(tmp_path / "cache")
@@ -117,7 +118,7 @@ def test_cli_study_keep_going_and_resume(capsys, monkeypatch, tmp_path):
     from repro.study.runner import simulations_executed
     before = simulations_executed()
     assert main(["study", "resilience", "--cache", cache,
-                 "--keep-going", "--resume"]) == 0
+                 "--keep-going"]) == 0
     # only the poisoned cell simulates again
     assert simulations_executed() == before + 1
     extra = json.loads(artifact.read_text())["extra"]
@@ -126,23 +127,32 @@ def test_cli_study_keep_going_and_resume(capsys, monkeypatch, tmp_path):
 
 def test_cli_study_failure_without_keep_going_fails(capsys, monkeypatch,
                                                     tmp_path):
+    from repro.study import resilience_study
+    from repro.study.catalog import CATALOG
+
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
     monkeypatch.setenv("REPRO_POINTS", "8")
-    # --retries overrides the catalog study's keep_going default with a
-    # raise policy, so the poisoned cell aborts the run with exit 1
-    assert main(["study", "resilience", "--retries", "0"]) == 1
+    # without the study's declared keep_going the runner's default
+    # raise policy applies, so the poisoned cell aborts with exit 1
+    monkeypatch.setitem(
+        CATALOG, "resilience",
+        lambda points=None: resilience_study(points).with_policy(None))
+    assert main(["study", "resilience"]) == 1
     assert "FAIL:" in capsys.readouterr().err
 
 
-def test_cli_study_resume_needs_a_cache(monkeypatch):
-    monkeypatch.delenv("REPRO_STUDY_CACHE", raising=False)
-    with pytest.raises(SystemExit, match="cache"):
-        main(["study", "fig5", "--resume"])
+def test_cli_timeout_keeps_the_study_policy(capsys, monkeypatch, tmp_path):
+    """--timeout overrides only the timeout: the resilience study's
+    declared keep_going still applies, so the run finishes with its
+    one failed cell instead of aborting."""
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
+    monkeypatch.setenv("REPRO_POINTS", "8")
+    assert main(["study", "resilience", "--timeout", "60"]) == 0
+    assert "1 failed" in capsys.readouterr().out
 
 
 def test_cli_resilience_flags_rejected_for_figures():
-    for flags in (["--keep-going"], ["--timeout", "5"],
-                  ["--retries", "1"], ["--resume"]):
+    for flags in (["--keep-going"], ["--timeout", "5"]):
         with pytest.raises(SystemExit, match="study"):
             main(["fig5"] + flags)
 

@@ -1,15 +1,13 @@
-"""Runner resilience: per-job timeouts, retry/backoff, partial results,
-quarantine of pool-killing cells, and journaled resumable runs.
+"""Runner resilience: per-job timeouts, partial results, quarantine of
+pool-killing cells, and reruns against the cache.
 
 The misbehaving workload is the built-in ``study.chaos`` registry app —
 fully deterministic in virtual time, with knobs for raising, timing out
-(a *wall-clock* hang), failing exactly once (flake), and killing its
-worker process outright.
+(a *wall-clock* hang) and killing its worker process outright.
 """
 
 import json
-import os
-import shutil
+import threading
 
 import pytest
 
@@ -24,8 +22,6 @@ from repro.study import (
     run_study,
     simulations_executed,
 )
-from repro.study.journal import RunJournal, mark_running, run_key
-from repro.study.policy import backoff_delay
 
 
 def chaos_study(name="chaos", points=(4, 8), **poison_params):
@@ -49,26 +45,14 @@ def test_policy_validation():
         RunPolicy(on_error="explode")
     with pytest.raises(StudyError, match="timeout"):
         RunPolicy(timeout=0)
-    with pytest.raises(StudyError, match="retries"):
-        RunPolicy(retries=-1)
-    with pytest.raises(StudyError, match="unknown"):
-        RunPolicy.from_json({"retries": 1, "bogus": True})
+    # a study file that still sets a deleted knob fails naming the key
+    with pytest.raises(StudyError, match="unknown.*retries"):
+        RunPolicy.from_json({"retries": 1})
 
 
 def test_policy_json_round_trip():
-    p = RunPolicy(timeout=2.5, retries=3, on_error="keep_going")
+    p = RunPolicy(timeout=2.5, on_error="keep_going")
     assert RunPolicy.from_json(p.to_json()) == p
-
-
-def test_backoff_is_deterministic_and_bounded():
-    p = RunPolicy(retries=5, backoff=0.25, backoff_cap=1.0, jitter=0.5)
-    delays = [backoff_delay(p, "deadbeef", n) for n in (1, 2, 3, 4)]
-    assert delays == [backoff_delay(p, "deadbeef", n) for n in (1, 2, 3, 4)]
-    for n, d in enumerate(delays, start=1):
-        base = min(1.0, 0.25 * 2 ** (n - 1))
-        assert base <= d <= base * 1.5
-    # the jitter is keyed on the job, so two cells never thundering-herd
-    assert backoff_delay(p, "deadbeef", 1) != backoff_delay(p, "cafe", 1)
 
 
 def test_study_policy_round_trips_and_stays_out_of_the_cache_key():
@@ -136,25 +120,6 @@ def test_jobresult_rejects_ok_without_value():
 
 
 # ----------------------------------------------------------------------
-# retries + backoff
-# ----------------------------------------------------------------------
-
-def test_flaky_cell_succeeds_on_retry(tmp_path):
-    flake = str(tmp_path / "flake-marker")
-    study = chaos_study(flake_path=flake)
-    rs = run_study(study, policy=RunPolicy(retries=1, backoff=0.01))
-    bad = [r for r in rs.results if r.series == "Poison"][0]
-    assert bad.status == "ok" and bad.attempts == 2
-    assert rs.complete
-
-
-def test_flaky_cell_fails_without_retries(tmp_path):
-    flake = str(tmp_path / "flake-marker")
-    with pytest.raises(StudyError, match="1 attempt"):
-        run_study(chaos_study(flake_path=flake), policy=RunPolicy())
-
-
-# ----------------------------------------------------------------------
 # timeouts (wall-clock; chaos hangs in real time, not virtual time)
 # ----------------------------------------------------------------------
 
@@ -173,13 +138,38 @@ def test_timeout_in_pool_worker():
     assert rs.ok == 2
 
 
+def test_timeout_off_the_main_thread_is_refused():
+    """SIGALRM only reaches the main thread, so a serial run from any
+    other thread cannot enforce a timeout: it must refuse up front, not
+    let the hang run to completion and report ok.  Pool workers run
+    each job on their own main thread, so jobs > 1 is enforceable."""
+    outcome = {}
+
+    def body(jobs):
+        try:
+            outcome[jobs] = run_study(
+                chaos_study(hang_s=2.0), jobs=jobs,
+                policy=RunPolicy(timeout=0.2, on_error="keep_going"))
+        except StudyError as exc:
+            outcome[jobs] = exc
+
+    for jobs in (1, 2):
+        thread = threading.Thread(target=body, args=(jobs,))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert isinstance(outcome[1], StudyError)
+    assert "main thread" in str(outcome[1])
+    assert outcome[2].failures()[0].status == "timeout"
+
+
 # ----------------------------------------------------------------------
-# pool-killing cells: respawn, blame, quarantine
+# pool-killing cells: rebuild, probation, quarantine
 # ----------------------------------------------------------------------
 
 def test_worker_death_is_survived_and_quarantined(tmp_path):
     """A cell that SIGKILLs its own pool worker breaks the whole
-    executor; the runner must respawn the pool, finish every healthy
+    executor; the runner must rebuild the pool, finish every healthy
     cell bit-identically, and quarantine the poison."""
     study = chaos_study(exit_code=9)
     rs = run_study(study, jobs=2, cache=str(tmp_path / "cache"),
@@ -191,6 +181,80 @@ def test_worker_death_is_survived_and_quarantined(tmp_path):
     fault_free = run_study(chaos_study("chaos2"))
     for x in (4, 8):
         assert rs.value("Healthy", x) == fault_free.value("Healthy", x)
+
+
+def test_lone_pool_killer_is_quarantined_after_one_attempt():
+    """A cell that breaks the pool while it is the only cell in flight
+    is the culprit: it is quarantined without a second attempt."""
+    study = (Study("lone-killer")
+             .axis("nprocs", [4])
+             .cell("Poison", app="study.chaos", params={"exit_code": 9}))
+    rs = run_study(study, jobs=2, policy=RunPolicy(on_error="keep_going"))
+    bad = rs.failures()[0]
+    assert bad.status == "quarantined" and bad.attempts == 1
+
+
+def test_pool_break_reruns_only_cells_in_flight():
+    """The pool holds at most ``jobs`` cells, so a break re-runs only
+    the cells a worker had taken, not every queued cell.  The poison
+    has the most ranks, so longest-first ordering submits it first."""
+    study = (Study("in-flight")
+             .axis("nprocs", list(range(2, 10)))
+             .axis("poison_nprocs", [16])
+             .cell("Healthy", app="study.chaos")
+             .cell("Poison", app="study.chaos", params={"exit_code": 9},
+                   x_axis="poison_nprocs"))
+    rs = run_study(study, jobs=2, policy=RunPolicy(on_error="keep_going"))
+    assert rs.quarantined == 1 and rs.ok == 8
+    rerun = [r for r in rs.results if r.ok and r.attempts > 1]
+    assert len(rerun) <= 1, [(r.x, r.attempts) for r in rerun]
+
+
+def _break_submit(monkeypatch, at):
+    """Make the ``at``-th executor submit raise ``BrokenProcessPool``,
+    as ``submit`` does once a worker has died; returns the call log."""
+    import concurrent.futures as cf
+    from concurrent.futures.process import BrokenProcessPool
+
+    real_submit = cf.ProcessPoolExecutor.submit
+    calls = []
+
+    def submit(self, fn, *args, **kwargs):
+        calls.append(args[0]["series"])
+        if len(calls) == at:
+            raise BrokenProcessPool("a worker died before this submit")
+        return real_submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(cf.ProcessPoolExecutor, "submit", submit)
+    return calls
+
+
+def test_submit_to_a_broken_pool_requeues_the_cell(monkeypatch):
+    """A worker can die between one cell finishing and the refill, so
+    the refill's ``submit`` raises: the cell goes back in the queue with
+    no attempt counted, the poison in flight is collected as broken and
+    quarantined, and every healthy cell still runs once."""
+    calls = _break_submit(monkeypatch, at=3)
+    study = (Study("broken-refill")
+             .axis("nprocs", [2, 3])
+             .axis("poison_nprocs", [16])
+             .cell("Healthy", app="study.chaos")
+             .cell("Poison", app="study.chaos",
+                   params={"exit_code": 9, "hang_s": 1.0},
+                   x_axis="poison_nprocs"))
+    rs = run_study(study, jobs=2, policy=RunPolicy(on_error="keep_going"))
+    assert calls == ["Poison", "Healthy", "Healthy", "Healthy"]
+    assert rs.quarantined == 1 and rs.ok == 2
+    assert [r.attempts for r in rs.results] == [1, 1, 1]
+
+
+def test_broken_pool_with_nothing_in_flight_is_rebuilt(monkeypatch):
+    """A break with none of the study's cells in flight blames nobody:
+    the pool is rebuilt and the cell submitted again."""
+    calls = _break_submit(monkeypatch, at=1)
+    rs = run_study(chaos_study(), jobs=2)
+    assert len(calls) == 3
+    assert rs.complete and [r.attempts for r in rs.results] == [1, 1]
 
 
 def test_worker_death_raises_without_keep_going(tmp_path):
@@ -209,10 +273,10 @@ def test_chaos_refuses_to_kill_the_host_process():
 
 
 # ----------------------------------------------------------------------
-# journal + resume
+# rerunning against the cache
 # ----------------------------------------------------------------------
 
-def test_resume_reexecutes_only_the_failed_cell(tmp_path):
+def test_rerun_against_the_cache_reexecutes_only_the_failed_cell(tmp_path):
     cache = str(tmp_path / "cache")
     study = chaos_study(fail=True)
     first = run_study(study, cache=cache,
@@ -220,7 +284,7 @@ def test_resume_reexecutes_only_the_failed_cell(tmp_path):
     assert first.failed == 1 and first.executed == 3
 
     before = simulations_executed()
-    again = run_study(study, cache=cache, resume=True,
+    again = run_study(study, cache=cache,
                       policy=RunPolicy(on_error="keep_going"))
     # the two healthy cells are served without simulating; only the
     # failed cell runs again
@@ -228,63 +292,3 @@ def test_resume_reexecutes_only_the_failed_cell(tmp_path):
     assert simulations_executed() == before + 1
     for x in (4, 8):
         assert again.value("Healthy", x) == first.value("Healthy", x)
-
-
-def test_resume_serves_healthy_values_from_the_journal_alone(tmp_path):
-    """The journal records completed outcomes inline, so resume works
-    even after the cache entries are wiped — and it repopulates the
-    cache as it serves them."""
-    cache = str(tmp_path / "cache")
-    study = chaos_study(fail=True)
-    first = run_study(study, cache=cache,
-                      policy=RunPolicy(on_error="keep_going"))
-
-    # wipe every cache entry but keep the journal directory
-    for entry in os.listdir(cache):
-        if entry != "journal":
-            shutil.rmtree(os.path.join(cache, entry))
-
-    before = simulations_executed()
-    again = run_study(study, cache=cache, resume=True,
-                      policy=RunPolicy(on_error="keep_going"))
-    assert again.cached == 2 and again.executed == 1
-    assert simulations_executed() == before + 1
-    for x in (4, 8):
-        assert again.value("Healthy", x) == first.value("Healthy", x)
-
-
-def test_resume_requires_a_cache():
-    with pytest.raises(StudyError, match="resume"):
-        run_study(chaos_study(), resume=True)
-
-
-def test_resume_without_a_journal_is_a_fresh_run(tmp_path):
-    cache = str(tmp_path / "cache")
-    rs = run_study(chaos_study(), cache=cache, resume=True)
-    assert rs.complete and rs.executed == len(rs)
-
-
-def test_journal_identity_tracks_the_job_set():
-    keys_a = ["k1", "k2"]
-    assert run_key("s", keys_a) == run_key("s", ["k2", "k1"])
-    assert run_key("s", keys_a) != run_key("s", ["k1"])
-    assert run_key("s", keys_a) != run_key("t", keys_a)
-
-
-def test_journal_state_survives_torn_tail_lines(tmp_path):
-    path = str(tmp_path / "run.jsonl")
-    journal = RunJournal.open(str(tmp_path), "demo", ["ka", "kb"])
-    journal.record("completed", key="ka", value=1.5, sim={}, attempts=1)
-    journal.record("failed", key="kb", status="failed", error="boom",
-                   attempts=2)
-    journal.close()
-    path = journal.path
-    mark_running(path, "kb", 3)           # a worker-side marker
-    with open(path, "a") as fh:
-        fh.write('{"event": "completed", "key": "kb"')   # torn write
-
-    state = RunJournal.read_state(path)
-    assert state.completed["ka"]["value"] == 1.5
-    assert state.failed["kb"]["error"] == "boom"
-    assert state.running["kb"] == 3
-    assert state.skipped_lines == 1

@@ -95,22 +95,6 @@ def test_bad_jobs_env_var_named_in_error(monkeypatch):
         run_study(tiny_study(points=[4]))
 
 
-def test_resultset_accounts_for_none_slots():
-    """A ``None`` placeholder is a *missing* result, not a silently
-    dropped one: it must count in ``len`` / ``missing`` and leave the
-    set incomplete."""
-    from repro.study import JobResult, ResultSet
-
-    study = tiny_study(points=[4])
-    jobs = study.jobs()
-    done = JobResult(job=jobs[0], value=1.0, sim={})
-    rs = ResultSet(study, [done, None])
-    assert len(rs) == 2
-    assert rs.missing == 1
-    assert not rs.complete
-    assert rs.ok == 1
-
-
 # ----------------------------------------------------------------------
 # cache
 # ----------------------------------------------------------------------

@@ -47,7 +47,6 @@ EXPORTING_MODULES = [
     "repro.study.cache",
     "repro.study.catalog",
     "repro.study.chaos",
-    "repro.study.journal",
     "repro.study.policy",
     "repro.study.registry",
     "repro.study.results",
@@ -104,7 +103,7 @@ def test_study_exports():
     import repro.study as m
     for name in ("Study", "StudyError", "ResultSet", "run_study",
                  "get_study", "register_app", "register_extractor",
-                 "job_key", "code_version", "RunPolicy", "RunJournal"):
+                 "job_key", "code_version", "RunPolicy"):
         assert hasattr(m, name), name
     # every figure the CLI names is in the study catalog
     from repro.bench.cli import SWEEP_FIGURES
