@@ -16,14 +16,9 @@ only the poisoned one.
 Run:  python examples/resilient_study.py
 """
 
-import os
-import shutil
 import tempfile
 
 from repro.study import RunPolicy, Study, run_study
-
-WORKDIR = os.path.join(tempfile.gettempdir(), "repro-resilient-example")
-CACHE = os.path.join(WORKDIR, "cache")
 
 study = (
     Study("resilient-demo",
@@ -39,17 +34,16 @@ study = (
 
 
 def main():
-    shutil.rmtree(WORKDIR, ignore_errors=True)  # fresh demo every run
-    os.makedirs(WORKDIR)
+    # a fresh cache every run, removed on exit
+    with tempfile.TemporaryDirectory() as cache:
+        print("--- first pass: keep going past the poison ---")
+        rs = run_study(study, cache=cache, progress=print)
+        print()
+        print(rs.table())
+        assert rs.failed == 1 and rs.ok == 2, rs
 
-    print("--- first pass: keep going past the poison ---")
-    rs = run_study(study, cache=CACHE, progress=print)
-    print()
-    print(rs.table())
-    assert rs.failed == 1 and rs.ok == 2, rs
-
-    print("\n--- second pass: rerun against the same cache ---")
-    again = run_study(study, cache=CACHE, progress=print)
+        print("\n--- second pass: rerun against the same cache ---")
+        again = run_study(study, cache=cache, progress=print)
     assert again.cached == 2 and again.executed == 1, again
     assert again.failed == 1, again
     for x in (8, 16):

@@ -9,18 +9,17 @@ result set directly.
 
 Studies compile to JSON job specs, so the same experiment can be saved
 to a file, executed across a process pool (``jobs=4``) and served from
-the content-addressed result cache on the next run — rerun this script
-and watch every job arrive from the cache with zero simulation work.
+the content-addressed result cache on the next run: the script runs
+the study a second time against the same cache, and every job arrives
+from it with zero simulation work.  The cache lives in a temporary
+directory that is removed on exit.
 
 Run:  python examples/study_sweep.py
 """
 
-import os
 import tempfile
 
 from repro.study import Study, run_study
-
-CACHE = os.path.join(tempfile.gettempdir(), "repro-study-example-cache")
 
 study = (
     Study("noise-sensitivity",
@@ -43,11 +42,20 @@ def main():
     print(f"study {spec['name']!r}: {len(study.jobs())} jobs over axes "
           f"{list(spec['axes'])}\n")
 
-    rs = run_study(study, jobs=4, cache=CACHE, progress=print)
-    print()
-    print(rs.table())
-    print(f"\n{rs.executed} executed, {rs.cached} served from "
-          f"{CACHE}")
+    with tempfile.TemporaryDirectory() as cache:
+        rs = run_study(study, jobs=4, cache=cache, progress=print)
+        print()
+        print(rs.table())
+        print(f"\n{rs.executed} executed, {rs.cached} served from the "
+              "cache")
+
+        # the same study again: every job is served from the cache
+        again = run_study(study, jobs=4, cache=cache)
+        assert again.cached == len(study.jobs()), again
+        assert again.executed == 0, again
+        assert again.to_series() == rs.to_series()
+        print(f"second run: {again.executed} executed, {again.cached} "
+              "served from the cache")
 
     # query: the decoupling speedup per seed at the top scale
     for seed in (1, 2, 3):

@@ -11,12 +11,13 @@ Simulation` — or embed it in a running rank program with
 Compilation lowers the declaration onto the existing layers: a
 validated :class:`~repro.core.groups.DecouplingPlan`, communicator
 splitting + per-flow channel creation via :func:`~repro.core.runtime.
-run_decoupled`, and one attached stream per flow — in deterministic
-declaration order, so every rank agrees on tags and contexts without
-communication.  The per-stage runtime wraps the user body with an
-epilogue that terminates every un-terminated producer stream and frees
-every channel (bystanders included), making the ``terminate``/``free``
-protocol impossible to forget.
+run_decoupled` (each channel over its flow's two stages alone), and
+one attached stream per flow — in deterministic declaration order, so
+every rank agrees on tags and contexts without communication.  The
+per-stage runtime wraps the user body with an epilogue that terminates
+every un-terminated producer stream and frees the channel of every
+flow the stage touches, making the ``terminate``/``free`` protocol
+impossible to forget.
 
     graph = (StreamGraph()
              .stage("compute", fraction=0.9375, body=compute_body)
@@ -344,8 +345,7 @@ class CompiledGraph:
                 h = handles.get(flow.name)
                 if isinstance(h, ProducerHandle) and not h.terminated:
                     yield from h.terminate()
-            for flow in graph.flows:
-                ch = gctx.all_channels[flow.name]
+            for ch in gctx.channels.values():
                 if not ch.freed:
                     yield from ch.free()
 

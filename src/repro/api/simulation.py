@@ -210,9 +210,10 @@ class Simulation:
 
     def explain(self, target: Union[StreamGraph, CompiledGraph]) -> str:
         """How ``target`` runs on this simulation: one line per group
-        (rank block, size), one per flow (fan-in, window, routing or
-        checkpoint), and the Eq. 2 sizing line of
-        :func:`~repro.core.model.auto_size_plan` for this machine."""
+        (rank block, size), one per flow (its channel's member count,
+        fan-in, window, routing or checkpoint), and the Eq. 2 sizing
+        line of :func:`~repro.core.model.auto_size_plan` for this
+        machine."""
         compiled = self._compiled(target)
         graph, plan = compiled.graph, compiled.plan
         lines = [f"{graph.name!r} on {plan.total_procs} procs, "
@@ -229,8 +230,9 @@ class Simulation:
                 lo, hi = int(min(counts)), int(max(counts))
                 fan_in = f"{lo}" if lo == hi else f"{lo}..{hi}"
                 routing = f"fan-in {fan_in} per consumer, blocked routing"
-            line = (f"  flow {f.name}: {f.src} -> {f.dst}, {routing}, "
-                    f"window {f.window}")
+            members = len(plan.flow_ranks(f.name))
+            line = (f"  flow {f.name}: {f.src} -> {f.dst}, channel over "
+                    f"{members} ranks, {routing}, window {f.window}")
             if f.checkpoint is not None:
                 line += f", checkpoint every {f.checkpoint.interval} elements"
             lines.append(line)

@@ -60,6 +60,9 @@ class DecouplingPlan:
         self.operations: Dict[str, str] = {}   # op name -> group name
         self.flows: List[Flow] = []
         self._validated = False
+        #: flow name -> member ranks, one tuple shared by every rank
+        #: (each forms its flow communicator from it); reset by validate
+        self._flow_ranks: Dict[str, Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -142,6 +145,7 @@ class DecouplingPlan:
             g.first_rank = first
             first += g.size
         self._validated = True
+        self._flow_ranks = {}
         return self
 
     def _require_validated(self) -> None:
@@ -177,6 +181,22 @@ class DecouplingPlan:
 
     def flows_touching(self, group: str) -> List[Flow]:
         return [f for f in self.flows if group in (f.src, f.dst)]
+
+    def flow_ranks(self, flow: str) -> Tuple[int, ...]:
+        """Ranks of a flow's source and destination groups, ascending:
+        the members its stream channel is collective over."""
+        self._require_validated()
+        hit = self._flow_ranks.get(flow)
+        if hit is not None:
+            return hit
+        for f in self.flows:
+            if f.name == flow:
+                # groups are disjoint contiguous blocks: order the two
+                lo, hi = sorted((self.groups[f.src], self.groups[f.dst]),
+                                key=lambda g: g.first_rank)
+                hit = self._flow_ranks[flow] = (*lo.ranks, *hi.ranks)
+                return hit
+        raise PlanError(f"unknown flow {flow!r}")
 
     def summary(self) -> List[Tuple[str, int, float, List[str]]]:
         """(group, size, alpha, operations) rows for reports."""

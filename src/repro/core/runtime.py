@@ -5,8 +5,9 @@ body function per group, :func:`run_decoupled` is the SPMD main that:
 
 1. forms the plan's group communicators (communication-free: plan
    membership is deterministic on every rank),
-2. creates one stream channel per declared flow (a collective over the
-   *world* communicator, producers = src group, consumers = dst group),
+2. creates one stream channel per declared flow, collective over that
+   flow's members alone (producers = src group, consumers = dst
+   group); ranks outside a flow take no part in it,
 3. invokes this rank's group body with a :class:`GroupContext`.
 
 Bodies are generator functions ``body(ctx)``; their return value is the
@@ -33,11 +34,9 @@ class GroupContext:
     group: str                       # this rank's group name
     world: Comm                      # the full communicator
     comm: Comm                       # this group's communicator
+    #: the channels of the flows this group produces or consumes, in
+    #: declaration order; each is collective over its flow's members
     channels: Dict[str, StreamChannel] = field(default_factory=dict)
-    #: every flow's channel, bystander ranks included — channel teardown
-    #: (``free`` barriers) is collective over the world communicator, so
-    #: runtimes that free channels automatically need them all
-    all_channels: Dict[str, StreamChannel] = field(default_factory=dict)
 
     @property
     def alpha(self) -> float:
@@ -77,23 +76,23 @@ def run_decoupled(world: Comm, plan: DecouplingPlan,
     group_comm = world.group_from_ranks(
         list(plan.groups[my_group].ranks), name=f"{world.name}/{my_group}")
 
-    # channels are collective over the world communicator, in the
-    # deterministic order flows were declared
+    # each flow's channel is collective over the flow's own members
+    # (its two groups, formed the same communication-free way), in the
+    # deterministic order flows were declared; other ranks skip it
     channels: Dict[str, StreamChannel] = {}
-    all_channels: Dict[str, StreamChannel] = {}
     for flow in plan.flows:
-        ch = yield from create_channel(
-            world,
+        if my_group not in (flow.src, flow.dst):
+            continue
+        flow_comm = world.group_from_ranks(
+            plan.flow_ranks(flow.name), name=f"{world.name}/{flow.name}")
+        channels[flow.name] = yield from create_channel(
+            flow_comm,
             is_producer=(my_group == flow.src),
             is_consumer=(my_group == flow.dst),
         )
-        all_channels[flow.name] = ch
-        if my_group in (flow.src, flow.dst):
-            channels[flow.name] = ch
 
     ctx = GroupContext(plan=plan, group=my_group, world=world,
-                       comm=group_comm, channels=channels,
-                       all_channels=all_channels)
+                       comm=group_comm, channels=channels)
     result = yield from bodies[my_group](ctx)
     return result
 

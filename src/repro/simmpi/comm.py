@@ -173,9 +173,11 @@ class World:
 
         The first member rank to reach the creation point allocates the
         pair; later ranks find it in the cache.  ``key`` is derived from
-        (parent context, creation sequence number, color), which all
-        member ranks compute identically, mirroring how real MPI agrees
-        on context ids during ``MPI_Comm_split``.
+        the parent context plus what the creating call agrees on (for
+        ``split``, the creation sequence number and color; for
+        ``group_from_ranks``, the member tuple and its formation
+        count), which all member ranks compute identically, mirroring
+        how real MPI agrees on context ids during ``MPI_Comm_split``.
         """
         ids = self._subcomm_cache.get(key)
         if ids is None:
@@ -295,7 +297,10 @@ class Comm:
         self.context_coll = context_coll
         self.name = name
         self._coll_seq = 0
+        # dup/split calls so far; group_from_ranks counts per member
+        # tuple instead, since only the group's members call it
         self._create_seq = 0
+        self._group_seq: Dict[Tuple[int, ...], int] = {}
         self._freed = False
         # introspection as plain attributes: rank/size sit on every
         # hot path (validation, collectives) and property dispatch is
@@ -677,12 +682,16 @@ class Comm:
         """Create a sub-communicator from a locally-known member list
         *without communication* (cf. ``MPI_Comm_create_group``).
 
-        Every member rank must call this with the identical
-        ``local_ranks`` list at the same point in its communicator-
-        creation sequence.  Context ids come from the world's first-
-        creator cache exactly as :meth:`split` agrees on them, but no
-        agreement round is paid because the membership is already known
-        deterministically on every rank (e.g. derived from a validated
+        Only the group's members call this, each with the identical
+        ``local_ranks`` list; ranks outside the group take no part.
+        The members agree on the context ids through the world's
+        first-creator cache under the member tuple plus how many times
+        this rank has formed that tuple from this communicator, so the
+        k-th formation of a group on one member matches the k-th on
+        every other, whatever other groups, splits or dups each member
+        made in between.  No agreement round is paid because the
+        membership is already known deterministically on every rank
+        (e.g. derived from a validated
         :class:`~repro.core.groups.DecouplingPlan`).
 
         ``node_hint`` declares the layout the caller *expects* under
@@ -698,8 +707,8 @@ class Comm:
             raise CommunicatorError(
                 f"operation on freed communicator {self.name!r}")
         members = tuple(local_ranks)  # materialize once (iterables welcome)
-        seq = self._create_seq
-        ctx_key = (self.context, "group", seq, members)
+        seq = self._group_seq.get(members, 0)
+        ctx_key = (self.context, "group", members, seq)
         cached = self.world._group_cache.get(ctx_key)
         if cached is None:
             # first member rank to arrive validates and builds the
@@ -726,9 +735,11 @@ class Comm:
             # the first arrival resolves it against the placement
             node_of = self.world.node_of
             span = len({node_of(g) for g in globals_})
-            cached = (globals_, index_of, span)
+            cached = (members, globals_, index_of, span)
             self.world._group_cache[ctx_key] = cached
-        globals_, index_of, span = cached
+        # the first arrival's member tuple keys every member's count, so
+        # a rank holds no O(members) copy of its own
+        shared, globals_, index_of, span = cached
         my_local = index_of.get(self._rank)
         if my_local is None:
             preview = (list(members) if len(members) <= 16
@@ -741,11 +752,10 @@ class Comm:
             raise CommunicatorError(
                 f"unknown node_hint {node_hint!r}; use 'colocated', "
                 "'spread' or None")
-        # all validation passed: only now consume this rank's creation
-        # sequence number and (first arrival) the context ids, so an
-        # error above leaves the creation sequence untouched, exactly
-        # as before the shared-structure cache
-        self._create_seq += 1
+        # all validation passed: only now count this formation and
+        # (first arrival) take the context ids, so an error above
+        # leaves the count untouched
+        self._group_seq[shared] = seq + 1
         p2p, coll = self.world.get_or_create_contexts(ctx_key)
         comm = Comm(self.world, globals_, self._global, p2p, coll,
                     name=name or f"{self.name}/group{seq}",

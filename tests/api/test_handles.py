@@ -5,6 +5,7 @@ import pytest
 
 from repro.api import GraphError, Simulation, StreamGraph
 from repro.mpistream import Collector
+from repro.simmpi import quiet_testbed
 
 
 def test_auto_terminate_and_auto_free():
@@ -34,6 +35,37 @@ def test_auto_terminate_and_auto_free():
     prof = report.flow_profiles("f")[3]
     assert prof.terminates_seen == 3
     assert report.flow_elements("f") == 15
+
+
+def test_stage_outside_a_flow_exchanges_nothing_for_it():
+    """Each flow's channel is built and freed among its own two stages:
+    stage ``c`` (ranks 2-3, between the flow's two stages) touches no
+    flow, so it neither waits on ``a -> b``'s set-up and teardown
+    collectives nor holds them up."""
+
+    def produce(ctx):
+        with ctx.producer("f") as out:
+            for i in range(4):
+                yield from out.send((ctx.comm.rank, i))
+
+    def idle(ctx):
+        yield from ctx.compute(2e-3)
+
+    graph = (StreamGraph()
+             .stage("a", size=2, body=produce)
+             .stage("c", size=2, body=idle)
+             .stage("b", size=2)
+             .flow("f", "a", "b", operator=Collector))
+    report = Simulation(6, machine=quiet_testbed()).run(graph)
+
+    finish = report.sim.finish_times
+    assert finish[2:4] == [0.002, 0.002]
+    # a and b never wait for c's compute
+    assert max(finish[:2] + finish[4:]) < 1e-4
+    assert report.flow_elements("f") == 8
+    # 8 elements + 2 TERMs, plus the allgather, dup barrier and free
+    # barrier over f's 4 members; nothing from c
+    assert report.messages == 28
 
 
 def test_send_after_close_rejected():

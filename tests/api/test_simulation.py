@@ -141,8 +141,9 @@ def test_explain_lists_groups_flows_and_the_sizing_line():
     assert lines[0] == "'sized' on 16 procs, machine 'beskow-xc40'"
     assert lines[1] == "  group compute: ranks 0..14, size 15"
     assert lines[2] == "  group analyze: ranks 15..15, size 1"
-    assert lines[3] == ("  flow samples: compute -> analyze, fan-in 15 "
-                        "per consumer, blocked routing, window 64")
+    assert lines[3] == ("  flow samples: compute -> analyze, channel over "
+                        "16 ranks, fan-in 15 per consumer, blocked routing, "
+                        "window 64")
     assert lines[4].startswith("  sizing: alpha* = ")
     assert lines[4].endswith("-> 2/16 helper ranks")
 
@@ -152,17 +153,23 @@ def test_explain_renders_uneven_fan_in_routers_and_checkpoints():
     graph = (StreamGraph("flows")
              .stage("src", size=5, body=_noop_body)
              .stage("dst", size=3)
+             .stage("side", size=2, body=_noop_body)
              .flow("blocked", "src", "dst", operator=RunningStats,
                    window=4, checkpoint=Checkpoint(interval=8))
              .flow("routed", "src", "dst", operator=RunningStats,
-                   router=lambda pi, seq, data: seq))
-    text = Simulation(8).explain(graph)
-    assert ("  flow blocked: src -> dst, fan-in 1..2 per consumer, "
-            "blocked routing, window 4, checkpoint every 8 elements") in text
-    assert ("  flow routed: src -> dst, per-element routing, "
-            "window 64") in text
-    assert "  sizing: skipped: stage(s) ['src', 'dst'] pin explicit sizes" \
-        in text
+                   router=lambda pi, seq, data: seq)
+             .flow("aside", "side", "src", operator=RunningStats))
+    text = Simulation(10).explain(graph)
+    assert ("  flow blocked: src -> dst, channel over 8 ranks, fan-in 1..2 "
+            "per consumer, blocked routing, window 4, checkpoint every 8 "
+            "elements") in text
+    assert ("  flow routed: src -> dst, channel over 8 ranks, per-element "
+            "routing, window 64") in text
+    # dst's ranks sit between side's and src's and are no member
+    assert ("  flow aside: side -> src, channel over 7 ranks, fan-in 0..1 "
+            "per consumer, blocked routing, window 64") in text
+    assert ("  sizing: skipped: stage(s) ['src', 'dst', 'side'] pin "
+            "explicit sizes") in text
 
 
 # ----------------------------------------------------------------------

@@ -71,6 +71,24 @@ def test_operations_of_and_flows_touching():
     assert [f.name for f in plan.flows_touching("compute")] == ["data"]
 
 
+def test_flow_ranks_are_its_two_groups_ascending():
+    plan = DecouplingPlan(10)
+    plan.add_group("a", size=3)
+    plan.add_group("b", size=4)
+    plan.add_group("c", size=3)
+    plan.map_operation("x", "a")
+    plan.add_flow("back", src="c", dst="a")
+    plan.validate()
+    assert plan.flow_ranks("back") == (0, 1, 2, 7, 8, 9)
+    assert plan.flow_ranks("back") is plan.flow_ranks("back")
+    with pytest.raises(PlanError, match="unknown flow"):
+        plan.flow_ranks("nope")
+    # re-validating moves the blocks (b shrinks to absorb d)
+    plan.add_group("d", size=2)
+    plan.validate()
+    assert plan.flow_ranks("back") == (0, 1, 2, 5, 6, 7)
+
+
 def test_summary_rows():
     plan = _simple_plan(64)
     rows = plan.summary()

@@ -345,6 +345,57 @@ def test_group_from_ranks_is_communication_free():
     assert r.values == [(0, 2, 1), (1, 2, 1), (0, 2, 5), (1, 2, 5)]
 
 
+def test_group_from_ranks_agrees_among_its_members_alone():
+    """Rank 2 formed an extra group before [2, 3]; rank 3 did not.
+    The two must still agree on [2, 3]'s contexts (the agreement keys
+    on the member tuple, not on each rank's creation history)."""
+    def prog(comm):
+        if comm.rank <= 2:
+            first = comm.group_from_ranks([0, 1, 2])
+            yield from first.barrier()
+        if comm.rank >= 2:
+            pair = comm.group_from_ranks([2, 3])
+            if comm.rank == 3:
+                yield from pair.send("hello", dest=0)
+                return None
+            data = yield from pair.recv(source=1)
+            return data
+        return None
+
+    assert run(prog, 4).values == [None, None, "hello", None]
+
+
+def test_group_from_ranks_counts_formations_per_member_tuple():
+    """The k-th formation of a tuple matches the k-th on every member,
+    and a rejected call consumes no count."""
+    from repro.simmpi import CommunicatorError
+
+    def prog(comm):
+        if comm.rank == 0:
+            # rank 0 alone makes a rejected call and forms [0, 2]
+            # before [0, 1]; neither moves its count for [0, 1]
+            with pytest.raises(CommunicatorError):
+                comm.group_from_ranks([0, 0])
+            other = comm.group_from_ranks([0, 2])
+            yield from other.barrier()
+        if comm.rank == 2:
+            other = comm.group_from_ranks([0, 2])
+            yield from other.barrier()
+            return None
+        a = comm.group_from_ranks([0, 1])
+        b = comm.group_from_ranks([0, 1])
+        assert a.context != b.context
+        if comm.rank == 0:
+            yield from b.send("on b", dest=1)
+            yield from a.send("on a", dest=1)
+            return None
+        got_a = yield from a.recv(source=0)
+        got_b = yield from b.recv(source=0)
+        return (got_a, got_b)
+
+    assert run(prog, 3).values == [None, ("on a", "on b"), None]
+
+
 def test_group_from_ranks_rejects_bad_members():
     from repro.simmpi import CommunicatorError
 
