@@ -2,7 +2,7 @@
 
 One high-level surface that compiles user intent down to the existing
 layers (`simmpi` communicators, `mpistream` channels/streams, `core`
-plans and the decoupled runtime, `trace` analysis):
+plans, `trace` analysis):
 
 * :class:`StreamGraph` — declare stages and flows fluently; compiles to
   a validated :class:`~repro.core.groups.DecouplingPlan` plus
@@ -17,8 +17,8 @@ plans and the decoupled runtime, `trace` analysis):
   per-flow stream profiles and trace overlap analysis.
 
 The low-level API (``repro.simmpi.run``, ``repro.mpistream.attach`` /
-``create_channel``, ``repro.core.run_decoupled``) remains the
-"for finer control" layer and is unchanged.
+``create_channel``) remains the "for finer control" layer; inside a
+graph, ``StageContext.channel(flow)`` is the escape hatch.
 """
 
 from .errors import GraphError

@@ -8,16 +8,16 @@ and a router), then hand the graph to :class:`~repro.api.simulation.
 Simulation` — or embed it in a running rank program with
 ``yield from graph.compile(P).execute(world)``.
 
-Compilation lowers the declaration onto the existing layers: a
-validated :class:`~repro.core.groups.DecouplingPlan`, communicator
-splitting + per-flow channel creation via :func:`~repro.core.runtime.
-run_decoupled` (each channel over its flow's two stages alone), and
-one attached stream per flow — in deterministic declaration order, so
-every rank agrees on tags and contexts without communication.  The
-per-stage runtime wraps the user body with an epilogue that terminates
-every un-terminated producer stream and frees the channel of every
-flow the stage touches, making the ``terminate``/``free`` protocol
-impossible to forget.
+Compilation lowers the declaration onto a validated
+:class:`~repro.core.groups.DecouplingPlan`, one group per stage.
+:meth:`CompiledGraph.execute` then builds this rank's stage: the stage
+communicator, one channel per flow the stage touches (each over its
+flow's two stages alone) and one attached stream per such flow — in
+deterministic declaration order, so every rank agrees on tags and
+contexts without communication.  After the user body returns it
+terminates every un-terminated producer stream and frees the stage's
+channels, making the ``terminate``/``free`` protocol impossible to
+forget.
 
     graph = (StreamGraph()
              .stage("compute", fraction=0.9375, body=compute_body)
@@ -27,7 +27,7 @@ impossible to forget.
     report = Simulation(64, machine="beskow").run(graph)
 
 A stage may omit its body when it only consumes flows that declare
-operators: the runtime supplies a default body that operates each
+operators: ``execute`` supplies a default body that operates each
 incoming flow in declaration order and reports the operator results.
 """
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from ..core.groups import DecouplingPlan
-from ..core.runtime import GroupContext, run_decoupled
+from ..mpistream.channel import StreamChannel, create_channel
 from ..mpistream.stream import (
     DEFAULT_ELEMENT_OVERHEAD,
     DEFAULT_WINDOW,
@@ -268,7 +268,6 @@ class StreamGraph:
         plan = DecouplingPlan(total_procs)
         for s in self.stages:
             plan.add_group(s.name, fraction=s.fraction, size=s.size)
-            plan.map_operation(s.name, s.name)
         for f in self._flows:
             plan.add_flow(f.name, f.src, f.dst)
         plan.validate()
@@ -288,10 +287,9 @@ class StreamGraph:
 class CompiledGraph:
     """A validated graph bound to a concrete process count.
 
-    ``execute(world)`` is the SPMD generator main: it wires groups,
-    channels and streams through :func:`~repro.core.runtime.
-    run_decoupled`, runs this rank's stage body between an automatic
-    prologue (stream attachment) and epilogue (terminate + free), and
+    ``execute(world)`` is the SPMD generator main: it builds this rank's
+    stage (communicator, channels, streams), runs the stage body between
+    that prologue and an automatic epilogue (terminate + free), and
     returns this rank's :class:`~repro.api.handles.StageRecord`.
     """
 
@@ -305,55 +303,64 @@ class CompiledGraph:
 
     def execute(self, world: Comm) -> Generator[Any, Any, StageRecord]:
         """This rank's SPMD main, as a generator."""
-        bodies = {s.name: self._make_body(s) for s in self.graph.stages}
-        record = yield from run_decoupled(world, self.plan, bodies)
-        return record
+        plan = self.plan
+        if world.size != plan.total_procs:
+            raise GraphError(
+                f"plan sized for {plan.total_procs} processes, communicator "
+                f"has {world.size}")
+        name = plan.group_of(world.rank)
+        stage = self.graph._stages[name]
+        # Stage membership is a pure function of the plan (contiguous,
+        # deterministic rank blocks), so the stage communicator forms
+        # without an agreement round: the MPI_Comm_create_group path
+        # rather than MPI_Comm_split.
+        comm = world.group_from_ranks(plan.group_ranks(name),
+                                      name=f"{world.name}/{name}")
 
-    # ------------------------------------------------------------------
-    def _make_body(self, stage: StageDef):
-        graph = self.graph
+        # each touching flow's channel is collective over the flow's own
+        # members (its two stages, formed the same communication-free
+        # way), in declaration order; other ranks skip it
+        flows = [f for f in self.graph.flows if name in (f.src, f.dst)]
+        channels: Dict[str, StreamChannel] = {}
+        for flow in flows:
+            flow_comm = world.group_from_ranks(
+                plan.flow_ranks(flow.name), name=f"{world.name}/{flow.name}")
+            channels[flow.name] = yield from create_channel(
+                flow_comm, is_producer=(name == flow.src),
+                is_consumer=(name == flow.dst))
 
-        def body(gctx: GroupContext) -> Generator[Any, Any, StageRecord]:
-            # prologue: attach one stream per touching flow, in
-            # declaration order (the tag-agreement contract)
-            handles: Dict[str, Any] = {}
-            for flow in graph.flows:
-                if stage.name == flow.src:
-                    stream = yield from attach(
-                        gctx.channel(flow.name), None,
-                        element_overhead=flow.element_overhead,
-                        window=flow.window, router=flow.router,
-                        eager=flow.eager, checkpoint=flow.checkpoint)
-                    handles[flow.name] = ProducerHandle(flow.name, stream)
-                elif stage.name == flow.dst:
-                    stream = yield from attach(
-                        gctx.channel(flow.name), flow.make_operator(),
-                        element_overhead=flow.element_overhead,
-                        window=flow.window, router=flow.router,
-                        eager=flow.eager, checkpoint=flow.checkpoint)
-                    handles[flow.name] = ConsumerHandle(
-                        flow.name, stream, stream.operator)
+        # one stream per flow, in declaration order (the tag-agreement
+        # contract)
+        handles: Dict[str, Any] = {}
+        for flow in flows:
+            producing = name == flow.src
+            stream = yield from attach(
+                channels[flow.name],
+                None if producing else flow.make_operator(),
+                element_overhead=flow.element_overhead,
+                window=flow.window, router=flow.router,
+                eager=flow.eager, checkpoint=flow.checkpoint)
+            handles[flow.name] = (
+                ProducerHandle(flow.name, stream) if producing
+                else ConsumerHandle(flow.name, stream, stream.operator))
 
-            ctx = StageContext(stage.name, gctx, handles)
-            if stage.body is not None:
-                result = yield from stage.body(ctx)
-            else:
-                result = yield from self._default_consumer_body(ctx)
+        ctx = StageContext(name, plan, world, comm, channels, handles)
+        if stage.body is not None:
+            result = yield from stage.body(ctx)
+        else:
+            result = yield from self._default_consumer_body(ctx)
 
-            # epilogue: the terminate/free protocol, automatically
-            for flow in graph.flows:
-                h = handles.get(flow.name)
-                if isinstance(h, ProducerHandle) and not h.terminated:
-                    yield from h.terminate()
-            for ch in gctx.channels.values():
-                if not ch.freed:
-                    yield from ch.free()
+        # epilogue: the terminate/free protocol, automatically
+        for h in handles.values():
+            if isinstance(h, ProducerHandle) and not h.terminated:
+                yield from h.terminate()
+        for ch in channels.values():
+            if not ch.freed:
+                yield from ch.free()
 
-            return StageRecord(
-                stage=stage.name, result=result,
-                profiles={name: h.profile for name, h in handles.items()})
-
-        return body
+        return StageRecord(
+            stage=name, result=result,
+            profiles={n: h.profile for n, h in handles.items()})
 
     def _default_consumer_body(self, ctx: StageContext
                                ) -> Generator[Any, Any, Any]:

@@ -8,17 +8,17 @@ the stage:
 * :class:`ProducerHandle` — ``yield from handle.send(data)`` injects one
   element.  Used as a context manager (``with ctx.producer("f") as s:``)
   the handle is *closed* when the block exits: further sends raise
-  :class:`~repro.api.errors.GraphError` and the runtime flushes the
-  in-flight window and terminates the stream automatically after the
-  body returns — the ``MPIStream_Terminate`` / ``MPIStream_FreeChannel``
-  protocol cannot be forgotten.
+  :class:`~repro.api.errors.GraphError` and ``CompiledGraph.execute``
+  flushes the in-flight window and terminates the stream automatically
+  after the body returns — the ``MPIStream_Terminate`` /
+  ``MPIStream_FreeChannel`` protocol cannot be forgotten.
 * :class:`ConsumerHandle` — ``yield from handle.operate()`` services the
   flow until every producer terminated, applying the flow's operator
   (or a per-rank override) to each element on arrival.
 
 Neither handle performs simulated communication outside ``yield from``
 calls, so the with-statement itself is free: closing only flips local
-state, and the actual flush/terminate runs in the runtime's epilogue.
+state, and the actual flush/terminate runs in ``execute``'s epilogue.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, Optional
 
-from ..core.runtime import GroupContext
+from ..core.groups import DecouplingPlan
 from ..mpistream.channel import StreamChannel
 from ..mpistream.profiles import StreamProfile
 from ..mpistream.stream import Stream
-from ..simmpi.comm import ComputeCharge
+from ..simmpi.comm import Comm, ComputeCharge
 from .errors import GraphError
 
 
@@ -92,7 +92,7 @@ class ProducerHandle:
     def terminate(self) -> Generator[Any, Any, None]:
         """Flush the in-flight window and end this producer's flow.
 
-        Idempotent: the runtime epilogue calls it for any producer the
+        Idempotent: ``execute``'s epilogue calls it for any producer the
         body did not terminate explicitly."""
         if self.terminated:
             return
@@ -177,37 +177,27 @@ class ConsumerHandle:
 
 
 class StageContext:
-    """Everything a stage body needs, one level above
-    :class:`~repro.core.runtime.GroupContext`."""
+    """Everything a stage body needs: its communicators, the plan, and
+    one handle (over one channel) per flow the stage touches."""
 
-    def __init__(self, stage: str, group_ctx: GroupContext,
+    def __init__(self, stage: str, plan: DecouplingPlan, world: Comm,
+                 comm: Comm, channels: Dict[str, StreamChannel],
                  handles: Dict[str, Any]):
         self.stage = stage
-        self._group_ctx = group_ctx
+        self.plan = plan
+        self.world = world            # the full (world) communicator
+        self.comm = comm              # this stage's group communicator
+        self._channels = channels
         self._handles = handles
-
-    # -- communicators --------------------------------------------------
-    @property
-    def comm(self):
-        """This stage's group communicator."""
-        return self._group_ctx.comm
-
-    @property
-    def world(self):
-        """The full (world) communicator."""
-        return self._group_ctx.world
-
-    @property
-    def plan(self):
-        return self._group_ctx.plan
 
     @property
     def alpha(self) -> float:
-        return self._group_ctx.alpha
+        """This stage's decoupled fraction (Eq. 4's alpha)."""
+        return self.plan.alpha(self.stage)
 
     @property
     def time(self) -> float:
-        return self._group_ctx.world.time
+        return self.world.time
 
     def compute(self, seconds: float, label: str = "compute"
                 ) -> ComputeCharge:
@@ -245,4 +235,8 @@ class StageContext:
 
     def channel(self, flow_name: str) -> StreamChannel:
         """The underlying stream channel (finer-control escape hatch)."""
-        return self._group_ctx.channel(flow_name)
+        ch = self._channels.get(flow_name)
+        if ch is None:
+            raise GraphError(
+                f"flow {flow_name!r} does not touch stage {self.stage!r}")
+        return ch

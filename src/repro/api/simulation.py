@@ -9,8 +9,7 @@ graph.StreamGraph` or a plain rank program::
     report = sim.run(worker, args=(cfg,))       # existing rank program
 
 Both paths return a :class:`~repro.api.report.Report`; the low-level
-:func:`repro.simmpi.run` / :func:`repro.core.run_decoupled` surface
-stays available unchanged for finer control.
+:func:`repro.simmpi.run` surface stays available for finer control.
 """
 
 from __future__ import annotations

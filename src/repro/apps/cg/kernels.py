@@ -117,15 +117,3 @@ def local_dot(a: np.ndarray, b: np.ndarray) -> float:
 def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> None:
     """``y[own] += alpha * x[own]`` in place."""
     interior(y)[...] = interior(y) + alpha * interior(x)
-
-
-def neighbor_faces_expected(coords: Tuple[int, ...],
-                            dims: Tuple[int, ...]) -> int:
-    """How many of the six faces have a real neighbour (non-periodic)."""
-    n = 0
-    for axis in range(3):
-        if coords[axis] > 0:
-            n += 1
-        if coords[axis] < dims[axis] - 1:
-            n += 1
-    return n

@@ -79,13 +79,6 @@ class IPICConfig:
 
     # ------------------------------------------------------------------
     @property
-    def gem(self) -> GEMSetup:
-        total = self.particles_per_rank * max(1, self.n_mover)
-        return GEMSetup(total_particles=total,
-                        sheet_thickness=self.sheet_thickness,
-                        background=self.sheet_background, seed=self.seed)
-
-    @property
     def n_exchange(self) -> int:
         """Decoupled particle-communication group size."""
         return max(1, round(self.alpha * self.nprocs))

@@ -19,12 +19,12 @@ Because the same total workload runs on fewer map ranks, each mapper
 carries ``1/(1-alpha)`` more input (the paper's fairness rule,
 Section IV-A).
 
-The wiring is declared once in :func:`build_graph` and compiled onto
-``DecouplingPlan`` + ``run_decoupled`` by :mod:`repro.api`; the
-terminate/free protocol is applied by the runtime's handles instead of
-by hand.  :func:`decoupled_worker` keeps its original plain-rank-
-program signature so existing callers (benchmarks, sweeps) are
-unchanged.
+The wiring is declared once in :func:`build_graph` and compiled onto a
+``DecouplingPlan`` by :mod:`repro.api`; ``CompiledGraph.execute``
+builds each rank's stage and applies the terminate/free protocol
+instead of the bodies doing it by hand.  :func:`decoupled_worker`
+keeps its original plain-rank-program signature so existing callers
+(benchmarks, sweeps) are unchanged.
 """
 
 from __future__ import annotations

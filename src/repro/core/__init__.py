@@ -1,9 +1,8 @@
 """``repro.core`` — the decoupling strategy (Section II of the paper).
 
-* :mod:`~repro.core.groups` — group formation and operation mapping.
+* :mod:`~repro.core.groups` — group formation and inter-group flows.
 * :mod:`~repro.core.model` — the Eq. 1-4 performance model + solvers.
 * :mod:`~repro.core.categories` — the five-category suitability guide.
-* :mod:`~repro.core.runtime` — generic decoupled-app scaffolding.
 """
 
 from .adaptive import (
@@ -33,15 +32,13 @@ from .model import (
     predicted_sigma,
     speedup,
 )
-from .runtime import GroupContext, conventional_baseline, run_decoupled
 
 __all__ = [
     "AlphaController", "BetaModel", "CATEGORY_NAMES", "DecouplingPlan",
-    "EpochMeasurement", "Flow", "GranularityController", "GroupContext",
-    "GroupSpec", "OperationProfile", "PAPER_PROFILES", "PlanError",
-    "SuitabilityReport", "auto_size_plan", "conventional_baseline",
-    "conventional_time", "decoupled_time_beta", "decoupled_time_full",
-    "decoupled_time_overlap", "epoch_from_trace", "optimal_alpha",
-    "optimal_granularity", "predicted_sigma", "rank_operations",
-    "run_decoupled", "score_operation", "speedup",
+    "EpochMeasurement", "Flow", "GranularityController", "GroupSpec",
+    "OperationProfile", "PAPER_PROFILES", "PlanError", "SuitabilityReport",
+    "auto_size_plan", "conventional_time", "decoupled_time_beta",
+    "decoupled_time_full", "decoupled_time_overlap", "epoch_from_trace",
+    "optimal_alpha", "optimal_granularity", "predicted_sigma",
+    "rank_operations", "score_operation", "speedup",
 ]

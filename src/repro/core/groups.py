@@ -1,13 +1,13 @@
-"""Group formation and operation-to-group mapping (Section II-C, Fig. 4).
+"""Group formation and inter-group flows (Section II-C, Fig. 4).
 
 A :class:`DecouplingPlan` is the declarative form of "form G groups of
-P_i processes and map each of the N operations to exactly one group":
+P_i processes linked by streams": groups plus the flows between them.
+Mapping operations to groups is the :class:`~repro.api.graph.
+StreamGraph`'s job, where each stage is one operation on one group.
 
     plan = DecouplingPlan(total_procs=64)
     plan.add_group("compute", fraction=0.9375)
     plan.add_group("reduce", fraction=0.0625)      # alpha = 6.25%
-    plan.map_operation("map_words", "compute")
-    plan.map_operation("reduce_histogram", "reduce")
     plan.add_flow("intermediate", src="compute", dst="reduce")
     plan.validate()
 
@@ -19,12 +19,12 @@ communication; :meth:`DecouplingPlan.group_of` is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 
 class PlanError(ValueError):
-    """An invalid decoupling plan (bad fractions, unmapped operations...)."""
+    """An invalid decoupling plan (bad fractions, unknown groups...)."""
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class GroupSpec:
 
 
 class DecouplingPlan:
-    """Groups + operation mapping + inter-group flows for one application."""
+    """Groups + inter-group flows for one application."""
 
     def __init__(self, total_procs: int):
         if total_procs <= 0:
@@ -57,12 +57,12 @@ class DecouplingPlan:
         self.total_procs = total_procs
         self.groups: Dict[str, GroupSpec] = {}
         self._order: List[str] = []
-        self.operations: Dict[str, str] = {}   # op name -> group name
         self.flows: List[Flow] = []
         self._validated = False
-        #: flow name -> member ranks, one tuple shared by every rank
-        #: (each forms its flow communicator from it); reset by validate
-        self._flow_ranks: Dict[str, Tuple[int, ...]] = {}
+        #: ("group" | "flow", name) -> member ranks, one tuple shared by
+        #: every rank (each forms its communicator from it); reset by
+        #: validate
+        self._ranks: Dict[Tuple[str, str], Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -84,19 +84,6 @@ class DecouplingPlan:
                                       size=size if size is not None else 0)
         self._order.append(name)
         self._validated = False
-        return self
-
-    def map_operation(self, op: str, group: str) -> "DecouplingPlan":
-        """Map an operation to exactly one group (re-mapping is an error)."""
-        if group not in self.groups:
-            raise PlanError(f"unknown group {group!r}")
-        if op in self.operations:
-            raise PlanError(
-                f"operation {op!r} already mapped to "
-                f"{self.operations[op]!r}; each operation maps to exactly "
-                "one group"
-            )
-        self.operations[op] = group
         return self
 
     def add_flow(self, name: str, src: str, dst: str) -> "DecouplingPlan":
@@ -122,8 +109,6 @@ class DecouplingPlan:
         """
         if not self.groups:
             raise PlanError("plan has no groups")
-        if not self.operations:
-            raise PlanError("plan maps no operations")
         sizes: Dict[str, int] = {}
         for name in self._order:
             g = self.groups[name]
@@ -145,7 +130,7 @@ class DecouplingPlan:
             g.first_rank = first
             first += g.size
         self._validated = True
-        self._flow_ranks = {}
+        self._ranks = {}
         return self
 
     def _require_validated(self) -> None:
@@ -165,10 +150,6 @@ class DecouplingPlan:
                 return name
         raise AssertionError("unreachable: groups cover all ranks")
 
-    def color_of(self, rank: int) -> int:
-        """Split color (group index in declaration order)."""
-        return self._order.index(self.group_of(rank))
-
     def alpha(self, group: str) -> float:
         """The decoupled fraction for ``group`` (Eq. 4's alpha)."""
         self._require_validated()
@@ -176,17 +157,24 @@ class DecouplingPlan:
             raise PlanError(f"unknown group {group!r}")
         return self.groups[group].size / self.total_procs
 
-    def operations_of(self, group: str) -> List[str]:
-        return [op for op, g in self.operations.items() if g == group]
-
-    def flows_touching(self, group: str) -> List[Flow]:
-        return [f for f in self.flows if group in (f.src, f.dst)]
+    def group_ranks(self, group: str) -> Tuple[int, ...]:
+        """A group's ranks, ascending: the members its stage
+        communicator is formed over."""
+        self._require_validated()
+        key = ("group", group)
+        hit = self._ranks.get(key)
+        if hit is None:
+            if group not in self.groups:
+                raise PlanError(f"unknown group {group!r}")
+            hit = self._ranks[key] = tuple(self.groups[group].ranks)
+        return hit
 
     def flow_ranks(self, flow: str) -> Tuple[int, ...]:
         """Ranks of a flow's source and destination groups, ascending:
         the members its stream channel is collective over."""
         self._require_validated()
-        hit = self._flow_ranks.get(flow)
+        key = ("flow", flow)
+        hit = self._ranks.get(key)
         if hit is not None:
             return hit
         for f in self.flows:
@@ -194,14 +182,6 @@ class DecouplingPlan:
                 # groups are disjoint contiguous blocks: order the two
                 lo, hi = sorted((self.groups[f.src], self.groups[f.dst]),
                                 key=lambda g: g.first_rank)
-                hit = self._flow_ranks[flow] = (*lo.ranks, *hi.ranks)
+                hit = self._ranks[key] = (*lo.ranks, *hi.ranks)
                 return hit
         raise PlanError(f"unknown flow {flow!r}")
-
-    def summary(self) -> List[Tuple[str, int, float, List[str]]]:
-        """(group, size, alpha, operations) rows for reports."""
-        self._require_validated()
-        return [
-            (n, self.groups[n].size, self.alpha(n), self.operations_of(n))
-            for n in self._order
-        ]

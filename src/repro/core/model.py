@@ -301,8 +301,6 @@ def auto_size_plan(graph, plan: DecouplingPlan, machine=None,
     resized = DecouplingPlan(nprocs)
     for name in plan.groups:
         resized.add_group(name, size=sizes[name])
-    for op, group in plan.operations.items():
-        resized.map_operation(op, group)
     for f in plan.flows:
         resized.add_flow(f.name, f.src, f.dst)
     resized.validate()

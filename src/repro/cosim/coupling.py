@@ -136,7 +136,7 @@ def _with_port_body(graph: StreamGraph, port: str,
 
 def _port_wrapper(user_body: Callable) -> Callable:
     def body(ctx) -> Generator[Any, Any, Any]:
-        comm = ctx.world  # the coupled sub-communicator run_decoupled got
+        comm = ctx.world  # the coupled sub-communicator execute() got
         port = _ACTIVE_PORTS[(id(comm.world), comm._global)]
         result = yield from user_body(ctx, port)
         if isinstance(port, APort) and not port.closed:

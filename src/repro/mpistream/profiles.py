@@ -42,14 +42,6 @@ class StreamProfile:
         self.arrival_times.append(when)
 
     # ------------------------------------------------------------------
-    @property
-    def mean_interarrival(self) -> float:
-        """Mean gap between consecutive element arrivals (0 if < 2)."""
-        ts = self.arrival_times
-        if len(ts) < 2:
-            return 0.0
-        return (ts[-1] - ts[0]) / (len(ts) - 1)
-
     def arrival_cv(self) -> float:
         """Coefficient of variation of interarrival gaps.
 

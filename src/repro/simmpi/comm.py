@@ -312,9 +312,6 @@ class Comm:
         # own members (an Intercomm points these at its remote group)
         self._peers = self.ranks
         self._npeers = self.size
-        # populated by group_from_ranks when a node-layout hint is given
-        self.node_hint: Optional[str] = None
-        self.node_hint_ok: Optional[bool] = None
         # fault mode only: register for failure notification and track
         # which detection epoch this communicator has acknowledged
         ctl = world._fault_ctl
@@ -328,23 +325,6 @@ class Comm:
     def global_of(self, local: int) -> int:
         self._check_rank(local)
         return self.ranks[local]
-
-    def node_of(self, local: Optional[int] = None) -> int:
-        """Node id of a member rank (default: the calling rank) under
-        the machine's placement policy."""
-        r = self._rank if local is None else local
-        self._check_rank(r)
-        return self.world.node_of(self.ranks[r])
-
-    def nodes(self) -> Tuple[int, ...]:
-        """Sorted distinct node ids the members occupy."""
-        node_of = self.world.node_of
-        return tuple(sorted({node_of(g) for g in self.ranks}))
-
-    def node_span(self) -> int:
-        """How many distinct nodes the members occupy: 1 means fully
-        colocated (every stream rides the intra-node shortcut)."""
-        return len(self.nodes())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Comm({self.name!r}, rank={self._rank}/{self.size})"
@@ -677,8 +657,7 @@ class Comm:
                     name=f"{self.name}/split{seq}c{color}")
 
     def group_from_ranks(self, local_ranks: Sequence[int],
-                         name: Optional[str] = None,
-                         node_hint: Optional[str] = None) -> "Comm":
+                         name: Optional[str] = None) -> "Comm":
         """Create a sub-communicator from a locally-known member list
         *without communication* (cf. ``MPI_Comm_create_group``).
 
@@ -693,15 +672,6 @@ class Comm:
         membership is already known deterministically on every rank
         (e.g. derived from a validated
         :class:`~repro.core.groups.DecouplingPlan`).
-
-        ``node_hint`` declares the layout the caller *expects* under
-        the machine's placement — ``"colocated"`` (members share one
-        node) or ``"spread"`` (members span several).  The hint is
-        checked once against the resolved placement and exposed as
-        ``comm.node_hint`` / ``comm.node_hint_ok`` so runtimes and
-        reports can flag placement/plan mismatches (a "colocated"
-        reduce group that the placement actually scattered) without
-        paying a per-message check.
         """
         if self._freed:
             raise CommunicatorError(
@@ -731,15 +701,11 @@ class Comm:
                 self._check_rank(r)
             globals_ = tuple(self.ranks[r] for r in members)
             index_of = {r: i for i, r in enumerate(members)}
-            # node span computed once per group (not per member rank):
-            # the first arrival resolves it against the placement
-            node_of = self.world.node_of
-            span = len({node_of(g) for g in globals_})
-            cached = (members, globals_, index_of, span)
+            cached = (members, globals_, index_of)
             self.world._group_cache[ctx_key] = cached
         # the first arrival's member tuple keys every member's count, so
         # a rank holds no O(members) copy of its own
-        shared, globals_, index_of, span = cached
+        shared, globals_, index_of = cached
         my_local = index_of.get(self._rank)
         if my_local is None:
             preview = (list(members) if len(members) <= 16
@@ -748,23 +714,14 @@ class Comm:
                 f"rank {self._rank} of {self.name!r} is not in the "
                 f"requested group of {len(members)} member(s) {preview}; "
                 "only members may call group_from_ranks")
-        if node_hint is not None and node_hint not in ("colocated", "spread"):
-            raise CommunicatorError(
-                f"unknown node_hint {node_hint!r}; use 'colocated', "
-                "'spread' or None")
         # all validation passed: only now count this formation and
         # (first arrival) take the context ids, so an error above
         # leaves the count untouched
         self._group_seq[shared] = seq + 1
         p2p, coll = self.world.get_or_create_contexts(ctx_key)
-        comm = Comm(self.world, globals_, self._global, p2p, coll,
+        return Comm(self.world, globals_, self._global, p2p, coll,
                     name=name or f"{self.name}/group{seq}",
                     my_local=my_local)
-        comm.node_hint = node_hint
-        comm.node_hint_ok = (
-            None if node_hint is None
-            else (span == 1) == (node_hint == "colocated"))
-        return comm
 
     def create_intercomm(self, local_ranks: Sequence[int],
                          remote_ranks: Sequence[int], tag: int = 0,
@@ -977,8 +934,7 @@ class Intercomm(Comm):
         self._no_intercomm("dup")
 
     def group_from_ranks(self, local_ranks: Sequence[int],
-                         name: Optional[str] = None,
-                         node_hint: Optional[str] = None) -> "Comm":
+                         name: Optional[str] = None) -> "Comm":
         self._no_intercomm("group_from_ranks")
 
     def create_intercomm(self, local_ranks: Sequence[int],

@@ -203,8 +203,6 @@ def test_compile_lowers_to_plan():
     assert plan.groups["analyze"].size == 4
     assert plan.alpha("analyze") == pytest.approx(0.25)
     assert [f.name for f in plan.flows] == ["samples"]
-    # every stage is an operation mapped to its own group
-    assert plan.operations_of("compute") == ["compute"]
     assert plan.group_of(0) == "compute"
     assert plan.group_of(15) == "analyze"
 

@@ -11,8 +11,6 @@ def _simple_plan(p=64, alpha=0.0625):
     plan = DecouplingPlan(p)
     plan.add_group("compute", fraction=1 - alpha)
     plan.add_group("reduce", fraction=alpha)
-    plan.map_operation("op0", "compute")
-    plan.map_operation("op1", "reduce")
     plan.add_flow("data", src="compute", dst="reduce")
     return plan.validate()
 
@@ -43,7 +41,6 @@ def test_absolute_size_groups():
     plan = DecouplingPlan(10)
     plan.add_group("a", size=7)
     plan.add_group("b", size=3)
-    plan.map_operation("x", "a")
     plan.validate()
     assert plan.groups["a"].size == 7
 
@@ -52,23 +49,9 @@ def test_tiny_fraction_floors_at_one_rank():
     plan = DecouplingPlan(8)
     plan.add_group("big", fraction=0.99)
     plan.add_group("tiny", fraction=0.01)
-    plan.map_operation("x", "tiny")
     plan.validate()
     assert plan.groups["tiny"].size == 1
     assert plan.groups["big"].size == 7
-
-
-def test_color_of_matches_declaration_order():
-    plan = _simple_plan(64)
-    assert plan.color_of(0) == 0
-    assert plan.color_of(63) == 1
-
-
-def test_operations_of_and_flows_touching():
-    plan = _simple_plan()
-    assert plan.operations_of("reduce") == ["op1"]
-    assert [f.name for f in plan.flows_touching("reduce")] == ["data"]
-    assert [f.name for f in plan.flows_touching("compute")] == ["data"]
 
 
 def test_flow_ranks_are_its_two_groups_ascending():
@@ -76,24 +59,27 @@ def test_flow_ranks_are_its_two_groups_ascending():
     plan.add_group("a", size=3)
     plan.add_group("b", size=4)
     plan.add_group("c", size=3)
-    plan.map_operation("x", "a")
     plan.add_flow("back", src="c", dst="a")
     plan.validate()
     assert plan.flow_ranks("back") == (0, 1, 2, 7, 8, 9)
     assert plan.flow_ranks("back") is plan.flow_ranks("back")
     with pytest.raises(PlanError, match="unknown flow"):
         plan.flow_ranks("nope")
+    # each group's members: one shared ascending tuple per group
+    b = plan.group_ranks("b")
+    assert b == (3, 4, 5, 6)
+    assert plan.group_ranks("b") is b
+    with pytest.raises(PlanError, match="unknown group"):
+        plan.group_ranks("nope")
+    # re-validating drops the cache, even for a block that did not move
+    plan.validate()
+    assert plan.group_ranks("b") == b
+    assert plan.group_ranks("b") is not b
     # re-validating moves the blocks (b shrinks to absorb d)
     plan.add_group("d", size=2)
     plan.validate()
     assert plan.flow_ranks("back") == (0, 1, 2, 5, 6, 7)
-
-
-def test_summary_rows():
-    plan = _simple_plan(64)
-    rows = plan.summary()
-    assert rows[0][0] == "compute" and rows[0][1] == 60
-    assert rows[1][0] == "reduce" and rows[1][3] == ["op1"]
+    assert plan.group_ranks("b") == (3, 4)
 
 
 def test_duplicate_group_rejected():
@@ -103,20 +89,9 @@ def test_duplicate_group_rejected():
         plan.add_group("g", fraction=0.5)
 
 
-def test_operation_must_map_to_exactly_one_group():
-    plan = DecouplingPlan(4)
-    plan.add_group("a", fraction=0.5)
-    plan.add_group("b", fraction=0.5)
-    plan.map_operation("op", "a")
-    with pytest.raises(PlanError):
-        plan.map_operation("op", "b")
-
-
 def test_unknown_group_rejected():
     plan = DecouplingPlan(4)
     plan.add_group("a", fraction=1.0)
-    with pytest.raises(PlanError):
-        plan.map_operation("op", "nope")
     with pytest.raises(PlanError):
         plan.add_flow("f", "a", "nope")
 
@@ -139,7 +114,6 @@ def test_fraction_and_size_both_given_rejected():
 def test_queries_before_validate_rejected():
     plan = DecouplingPlan(4)
     plan.add_group("a", fraction=1.0)
-    plan.map_operation("op", "a")
     with pytest.raises(PlanError):
         plan.group_of(0)
 
@@ -147,10 +121,6 @@ def test_queries_before_validate_rejected():
 def test_empty_plan_rejected():
     with pytest.raises(PlanError):
         DecouplingPlan(4).validate()
-    plan = DecouplingPlan(4)
-    plan.add_group("a", fraction=1.0)
-    with pytest.raises(PlanError):
-        plan.validate()  # no operations
 
 
 @given(
@@ -164,7 +134,6 @@ def test_property_partition_exact(p, frac):
     plan = DecouplingPlan(p)
     plan.add_group("main", fraction=1 - frac)
     plan.add_group("aux", fraction=frac)
-    plan.map_operation("op", "aux")
     plan.validate()
     sizes = [plan.groups[n].size for n in ("main", "aux")]
     assert all(s >= 1 for s in sizes)
@@ -183,7 +152,6 @@ def test_property_three_group_partition(p):
     plan.add_group("a", fraction=0.7)
     plan.add_group("b", fraction=0.2)
     plan.add_group("c", fraction=0.1)
-    plan.map_operation("x", "a")
     plan.validate()
     assert sum(plan.groups[n].size for n in "abc") == p
     # contiguity: group changes at most twice over the rank axis

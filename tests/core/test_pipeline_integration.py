@@ -1,55 +1,48 @@
-"""Integration: multi-stage decoupled pipelines through the generic
-runtime (the Fig. 1 picture — computation, analytics, I/O groups linked
-by streams)."""
+"""Integration: multi-stage decoupled pipelines through a
+``StreamGraph`` (the Fig. 1 picture — computation, analytics, I/O
+groups linked by streams)."""
 
-import pytest
-
-from repro.core import DecouplingPlan, run_decoupled
-from repro.mpistream import Collector, Forwarder, attach
+from repro.api import StreamGraph
 from repro.simmpi import beskow, quiet_testbed, run
 from repro.simmpi.iolib import open_file, read_back
 
 
-def _three_stage_plan(p):
-    plan = DecouplingPlan(p)
-    plan.add_group("compute", fraction=0.6)
-    plan.add_group("analytics", fraction=0.25)
-    plan.add_group("io", fraction=0.15)
-    plan.map_operation("simulate", "compute")
-    plan.map_operation("analyze", "analytics")
-    plan.map_operation("dump", "io")
-    plan.add_flow("raw", src="compute", dst="analytics")
-    plan.add_flow("summaries", src="analytics", dst="io")
-    return plan.validate()
+def _three_stage_graph(compute_body, analytics_body, io_body):
+    return (StreamGraph()
+            .stage("compute", fraction=0.6, body=compute_body)
+            .stage("analytics", fraction=0.25, body=analytics_body)
+            .stage("io", fraction=0.15, body=io_body)
+            .flow("raw", src="compute", dst="analytics")
+            .flow("summaries", src="analytics", dst="io"))
 
 
 def test_three_group_pipeline_end_to_end():
     """compute -> analytics -> io: every sample flows through both
     stages and lands in the file exactly once."""
     p = 10
-    plan = _three_stage_plan(p)
     samples_per_rank = 6
 
     def compute_body(ctx):
-        s = yield from attach(ctx.channel("raw"), None)
+        s = ctx.producer("raw")
         for i in range(samples_per_rank):
             yield from ctx.world.compute(0.01, label="simulate")
-            yield from s.isend((ctx.world.rank, i))
+            yield from s.send((ctx.world.rank, i))
         yield from s.terminate()
         return ("compute", samples_per_rank)
 
     def analytics_body(ctx):
-        out = yield from attach(ctx.channel("summaries"), None)
+        out = ctx.producer("summaries")
+        forwarded = 0
 
-        def transform(data):
-            rank, i = data
-            return ("summary", rank, i)
+        def forward(element):
+            nonlocal forwarded
+            rank, i = element.data
+            yield from out.send(("summary", rank, i))
+            forwarded += 1
 
-        fwd = Forwarder(out, transform=transform)
-        s = yield from attach(ctx.channel("raw"), fwd)
-        yield from s.operate()
+        yield from ctx.consume("raw", forward)
         yield from out.terminate()
-        return ("analytics", fwd.forwarded)
+        return ("analytics", forwarded)
 
     def io_body(ctx):
         f = yield from open_file(ctx.comm, "pipeline.out", "w")
@@ -59,24 +52,18 @@ def test_three_group_pipeline_end_to_end():
             yield from f.write_shared(repr(element.data).encode())
             written["n"] += 1
 
-        s = yield from attach(ctx.channel("summaries"), sink)
-        yield from s.operate()
+        yield from ctx.consume("summaries", sink)
         yield from f.close()
         return ("io", written["n"])
 
-    def main(comm):
-        out = yield from run_decoupled(comm, plan, {
-            "compute": compute_body,
-            "analytics": analytics_body,
-            "io": io_body,
-        })
-        return out
-
-    r = run(main, p, machine=beskow())
-    n_compute = plan.groups["compute"].size
+    compiled = _three_stage_graph(
+        compute_body, analytics_body, io_body).compile(p)
+    r = run(compiled.execute, p, machine=beskow())
+    results = [rec.result for rec in r.values]
+    n_compute = compiled.plan.groups["compute"].size
     total = n_compute * samples_per_rank
-    forwarded = sum(v[1] for v in r.values if v[0] == "analytics")
-    written = sum(v[1] for v in r.values if v[0] == "io")
+    forwarded = sum(v[1] for v in results if v[0] == "analytics")
+    written = sum(v[1] for v in results if v[0] == "io")
     assert forwarded == total
     assert written == total
     segs = read_back(r.extras["world"], "pipeline.out")
@@ -94,41 +81,31 @@ def test_pipeline_stages_overlap_in_time():
     """With tracing on, all three stages must be concurrently active
     somewhere in the middle of the run (the dataflow picture)."""
     p = 10
-    plan = _three_stage_plan(p)
 
     def compute_body(ctx):
-        s = yield from attach(ctx.channel("raw"), None)
+        s = ctx.producer("raw")
         for i in range(8):
             yield from ctx.world.compute(0.05, label="simulate")
-            yield from s.isend(i)
-        yield from s.terminate()
+            yield from s.send(i)
 
     def analytics_body(ctx):
-        out = yield from attach(ctx.channel("summaries"), None)
+        out = ctx.producer("summaries")
 
         def analyze(el):
             yield from ctx.world.compute(0.02, label="analyze")
-            yield from out.isend(el.data)
+            yield from out.send(el.data)
 
-        s = yield from attach(ctx.channel("raw"), analyze)
-        yield from s.operate()
-        yield from out.terminate()
+        yield from ctx.consume("raw", analyze)
 
     def io_body(ctx):
         def sink(el):
             yield from ctx.world.compute(0.01, label="dump")
 
-        s = yield from attach(ctx.channel("summaries"), sink)
-        yield from s.operate()
+        yield from ctx.consume("summaries", sink)
 
-    def main(comm):
-        yield from run_decoupled(comm, plan, {
-            "compute": compute_body,
-            "analytics": analytics_body,
-            "io": io_body,
-        })
-
-    r = run(main, p, machine=quiet_testbed(), trace=True)
+    compiled = _three_stage_graph(
+        compute_body, analytics_body, io_body).compile(p)
+    r = run(compiled.execute, p, machine=quiet_testbed(), trace=True)
     from repro.trace import overlap_fraction
     assert overlap_fraction(r.tracer, "analyze", "simulate") > 0.5
     assert overlap_fraction(r.tracer, "dump", "simulate") > 0.3

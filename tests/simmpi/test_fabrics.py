@@ -63,13 +63,13 @@ def test_topology_config_validates():
 def test_launcher_threads_topology_and_placement():
     def prog(comm):
         yield from comm.barrier()
-        return comm.node_of()
 
     m = quiet_testbed().with_(ranks_per_node=2,
                               topology=resolve_topology("dragonfly"),
                               placement=RoundRobinPlacement())
     r = run(prog, 4, machine=m)
-    assert r.values == [0, 1, 0, 1]
+    world = r.extras["world"]
+    assert [world.node_of(rank) for rank in range(4)] == [0, 1, 0, 1]
 
 
 # ----------------------------------------------------------------------

@@ -133,32 +133,6 @@ def test_node_of():
     assert cfg.node_of(32) == 1
 
 
-def test_comm_node_helpers_and_group_hints():
-    """Comm exposes the placement-resolved node map, and
-    group_from_ranks records whether a node-layout hint held."""
-    def prog(comm):
-        yield from comm.barrier()
-        if comm.rank in (0, 1):
-            g = comm.group_from_ranks([0, 1], node_hint="colocated")
-            return (comm.node_of(), g.node_hint, g.node_hint_ok,
-                    g.node_span())
-        return comm.node_of()
-
-    r = run(prog, 64, machine=beskow())
-    assert r.values[0] == (0, "colocated", True, 1)   # 0,1 share node 0
-    assert r.values[33] == 1
-
-    def prog_spread(comm):
-        yield from comm.barrier()
-        if comm.rank in (0, 32):
-            g = comm.group_from_ranks([0, 32], node_hint="colocated")
-            return (g.node_hint_ok, g.node_span(), g.nodes())
-        return None
-
-    r2 = run(prog_spread, 64, machine=beskow())
-    assert r2.values[0] == (False, 2, (0, 1))   # hint did not hold
-
-
 def test_compute_speed_scales_time():
     def prog(comm):
         yield from comm.compute(1.0)

@@ -155,9 +155,10 @@ def test_paper_api_names_have_counterparts():
 
 def test_declarative_layer_compiles_to_low_level():
     """The front-end lowers onto the documented low-level pieces — the
-    low-level surface stays importable and unchanged."""
+    low-level surface stays importable."""
     from repro.api.graph import CompiledGraph
-    from repro.core import DecouplingPlan, run_decoupled  # noqa: F401
+    from repro.core import DecouplingPlan
+    from repro.mpistream import attach, create_channel  # noqa: F401
     from repro.simmpi import run  # noqa: F401
 
     assert hasattr(CompiledGraph, "execute")
