@@ -25,18 +25,13 @@ for the real cost of merging histograms inside the reduction tree.
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
+from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
+                    Tuple)
 
-from .engine import Spawn, wait_flag
+from .datatypes import payload_nbytes
+from .engine import Spawn, WaitFlag
+from .errors import FaultSignal
 from .request import Request
-
-
-def _vrank(rank: int, root: int, size: int) -> int:
-    return (rank - root) % size
-
-
-def _lrank(vrank: int, root: int, size: int) -> int:
-    return (vrank + root) % size
 
 
 def _resolve_op(op: Optional[Callable]) -> Callable:
@@ -44,21 +39,105 @@ def _resolve_op(op: Optional[Callable]) -> Callable:
 
 
 # ----------------------------------------------------------------------
-# context-switched p2p helpers: collectives talk in the collective
-# context so they can never match application point-to-point traffic.
+# binomial schedules: every rooted tree below is one of these
+# ----------------------------------------------------------------------
+
+#: binomial schedules keyed (communicator size, root); every rank and
+#: every communicator of that shape reads the same table
+_schedule_cache: dict = {}
+
+
+def binomial_schedule(size: int, root: int
+                      ) -> List[Tuple[Optional[int], Tuple[int, ...]]]:
+    """Local rank -> ``(parent, children)`` of the binomial tree over
+    ``size`` ranks rooted at ``root``.
+
+    In virtual ranks ``v = (rank - root) % size`` a rank's parent is
+    ``v`` with its lowest set bit cleared (the root has none), and its
+    children are ``v + mask`` for every power of two ``mask`` below that
+    bit that stays inside the communicator.  ``children`` come in
+    ascending ``mask`` order: the order ``reduce`` and ``gather``
+    receive from them; ``bcast`` and ``scatter`` send to them in
+    reverse.  Cached per shape."""
+    key = (size, root)
+    hit = _schedule_cache.get(key)
+    if hit is not None:
+        return hit
+    table: List[Any] = [None] * size
+    for v in range(size):
+        low = v & -v
+        limit = low or size          # the root may use every mask
+        children = []
+        mask = 1
+        while mask < limit and v + mask < size:
+            children.append((v + mask + root) % size)
+            mask <<= 1
+        parent = (v - low + root) % size if v else None
+        table[(v + root) % size] = (parent, tuple(children))
+    if len(_schedule_cache) >= 64:
+        _schedule_cache.clear()
+    _schedule_cache[key] = table
+    return table
+
+
+# ----------------------------------------------------------------------
+# tree messages: collectives talk in the collective context so they can
+# never match application point-to-point traffic.  Each message is one
+# generator that posts to the transport directly (destination, source
+# and tag come from the schedule and are valid by construction), as the
+# stream layer's per-element paths do.
 # ----------------------------------------------------------------------
 
 def _csend(comm, data: Any, dest: int, tag: int,
            nbytes: Optional[int] = None) -> Generator:
-    req = yield from comm.isend(data, dest, tag, _ctx=comm.context_coll,
-                                nbytes=nbytes)
-    yield from comm.wait(req, label="coll-send")
+    """Send one tree message to local rank ``dest`` and wait for the
+    send to complete (trace label ``coll-send``)."""
+    if nbytes is None:
+        nbytes = payload_nbytes(data)
+    world = comm.world
+    delay = world._o_send_delay
+    if delay is not None:
+        yield delay
+    req = world.post_send(comm._global, comm.ranks[dest], comm._rank, tag,
+                          comm.context_coll, data, nbytes)
+    req._waited = True
+    if req.is_set:
+        payload = req.payload
+    else:
+        engine = world.engine
+        t0 = engine.now
+        payload = yield WaitFlag(req)
+        # a poisoned wait raises below and records no interval
+        if (world.tracer is not None and engine.now > t0
+                and payload.__class__ is not FaultSignal):
+            world.tracer.record(comm._global, "wait", "coll-send", t0,
+                                engine.now)
+    if payload.__class__ is FaultSignal:
+        raise payload.error
 
 
 def _crecv(comm, source: int, tag: int) -> Generator:
-    req = comm.irecv(source, tag, _ctx=comm.context_coll)
-    data, _ = yield from comm.wait(req, label="coll-recv")
-    return data
+    """Receive one tree message from local rank ``source`` (trace label
+    ``coll-recv``); returns its data."""
+    world = comm.world
+    ctl = world._fault_ctl
+    if ctl is not None:
+        ctl.check_recv(comm, source)
+    req = world.post_recv(comm._global, source, tag, comm.context_coll)
+    req._waited = True
+    if req.is_set:
+        payload = req.payload
+    else:
+        engine = world.engine
+        t0 = engine.now
+        payload = yield WaitFlag(req)
+        if (world.tracer is not None and engine.now > t0
+                and payload.__class__ is not FaultSignal):
+            world.tracer.record(comm._global, "wait", "coll-recv", t0,
+                                engine.now)
+    if payload.__class__ is FaultSignal:
+        raise payload.error
+    return payload[0]
 
 
 # ----------------------------------------------------------------------
@@ -71,28 +150,18 @@ def bcast(comm, data: Any, root: int = 0) -> Generator[Any, Any, Any]:
     The payload is sized exactly once (at the root) and the size rides
     along the tree, so broadcasting a P-element container costs O(P)
     sizing work in total instead of O(P^2)."""
-    from .datatypes import payload_nbytes
-
     comm._check_rank(root)
-    size, rank = comm.size, comm.rank
+    size = comm.size
     tag = comm._next_coll_tag()
     if size == 1:
         return data
-    vr = _vrank(rank, root, size)
-    nb = payload_nbytes(data) if vr == 0 else 0
-    mask = 1
-    while mask < size:
-        if vr & mask:
-            src = _lrank(vr - mask, root, size)
-            data, nb = yield from _crecv(comm, src, tag)
-            break
-        mask <<= 1
-    mask >>= 1
-    while mask > 0:
-        if vr + mask < size and not (vr & mask):
-            dst = _lrank(vr + mask, root, size)
-            yield from _csend(comm, (data, nb), dst, tag, nbytes=nb + 8)
-        mask >>= 1
+    parent, children = binomial_schedule(size, root)[comm.rank]
+    if parent is None:
+        nb = payload_nbytes(data)
+    else:
+        data, nb = yield from _crecv(comm, parent, tag)
+    for dst in reversed(children):
+        yield from _csend(comm, (data, nb), dst, tag, nbytes=nb + 8)
     return data
 
 
@@ -103,26 +172,21 @@ def reduce(comm, value: Any, op: Optional[Callable] = None, root: int = 0,
     rank order)."""
     comm._check_rank(root)
     op = _resolve_op(op)
-    size, rank = comm.size, comm.rank
+    size = comm.size
     tag = comm._next_coll_tag()
     if size == 1:
         return value
-    vr = _vrank(rank, root, size)
+    parent, children = binomial_schedule(size, root)[comm.rank]
     acc = value
-    mask = 1
-    while mask < size:
-        if vr & mask:
-            dst = _lrank(vr - mask, root, size)
-            yield from _csend(comm, acc, dst, tag)
-            return None
-        peer = vr + mask
-        if peer < size:
-            child = yield from _crecv(comm, _lrank(peer, root, size), tag)
-            if op_cost is not None:
-                yield from comm.compute(op_cost(acc, child), label="reduce-op")
-            acc = op(acc, child)
-        mask <<= 1
-    return acc
+    for src in children:
+        child = yield from _crecv(comm, src, tag)
+        if op_cost is not None:
+            yield from comm.compute(op_cost(acc, child), label="reduce-op")
+        acc = op(acc, child)
+    if parent is None:
+        return acc
+    yield from _csend(comm, acc, parent, tag)
+    return None
 
 
 def gather(comm, value: Any, root: int = 0) -> Generator[Any, Any, Optional[List]]:
@@ -130,30 +194,22 @@ def gather(comm, value: Any, root: int = 0) -> Generator[Any, Any, Optional[List
 
     Sub-tree sizes are accumulated incrementally and sent as explicit
     wire sizes: each rank sizes only its own contribution once."""
-    from .datatypes import payload_nbytes
-
     comm._check_rank(root)
     size, rank = comm.size, comm.rank
     tag = comm._next_coll_tag()
     if size == 1:
         return [value]
-    vr = _vrank(rank, root, size)
+    parent, children = binomial_schedule(size, root)[rank]
     acc = {rank: value}
     acc_nb = payload_nbytes(value) + 8
-    mask = 1
-    while mask < size:
-        if vr & mask:
-            dst = _lrank(vr - mask, root, size)
-            yield from _csend(comm, (acc, acc_nb), dst, tag, nbytes=acc_nb)
-            return None
-        peer = vr + mask
-        if peer < size:
-            child, child_nb = yield from _crecv(
-                comm, _lrank(peer, root, size), tag)
-            acc.update(child)
-            acc_nb += child_nb
-        mask <<= 1
-    return [acc[r] for r in range(size)]
+    for src in children:
+        child, child_nb = yield from _crecv(comm, src, tag)
+        acc.update(child)
+        acc_nb += child_nb
+    if parent is None:
+        return [acc[r] for r in range(size)]
+    yield from _csend(comm, (acc, acc_nb), parent, tag, nbytes=acc_nb)
+    return None
 
 
 def scatter(comm, values: Optional[Sequence[Any]], root: int = 0
@@ -170,26 +226,18 @@ def scatter(comm, values: Optional[Sequence[Any]], root: int = 0
         bundle = None
     if size == 1:
         return bundle[rank]
-    vr = _vrank(rank, root, size)
-    mask = 1
-    while mask < size:
-        if vr & mask:
-            src = _lrank(vr - mask, root, size)
-            bundle = yield from _crecv(comm, src, tag)
-            break
-        mask <<= 1
-    mask >>= 1
-    while mask > 0:
-        if vr + mask < size and not (vr & mask):
-            lo = vr + mask
-            hi = min(vr + 2 * mask, size)
-            sub = {
-                _lrank(v, root, size): bundle.pop(_lrank(v, root, size))
-                for v in range(lo, hi)
-            }
-            dst = _lrank(vr + mask, root, size)
-            yield from _csend(comm, sub, dst, tag)
-        mask >>= 1
+    parent, children = binomial_schedule(size, root)[rank]
+    if parent is not None:
+        bundle = yield from _crecv(comm, parent, tag)
+    vr = (rank - root) % size
+    for dst in reversed(children):
+        # the child at virtual rank vr + mask roots the sub-tree of
+        # virtual ranks [vr + mask, vr + 2 * mask)
+        lo = (dst - root) % size
+        hi = min(2 * lo - vr, size)
+        sub = {(v + root) % size: bundle.pop((v + root) % size)
+               for v in range(lo, hi)}
+        yield from _csend(comm, sub, dst, tag)
     return bundle[rank]
 
 
@@ -294,6 +342,7 @@ def alltoallv(comm, sends: Dict[int, Any], recv_from: Sequence[int],
 def scan(comm, value: Any, op: Optional[Callable] = None
          ) -> Generator[Any, Any, Any]:
     """Inclusive prefix reduction (linear chain; not on any hot path)."""
+    comm._check_rank(0)   # the freed check the rooted ones make on root
     op = _resolve_op(op)
     size, rank = comm.size, comm.rank
     tag = comm._next_coll_tag()

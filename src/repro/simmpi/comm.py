@@ -141,7 +141,10 @@ class World:
         self._context_counter = 16  # low ids reserved for COMM_WORLD
         self._subcomm_cache: Dict[tuple, tuple] = {}
         self._group_cache: Dict[tuple, tuple] = {}
-        self._split_exchange: Dict[tuple, dict] = {}
+        # group_from_ranks member tuples -> small ids, by value and by
+        # the identity of each value's first tuple (see group_id)
+        self._group_ids: Dict[Tuple[int, ...], int] = {}
+        self._group_ids_by_ref: Dict[int, int] = {}
         self.filesystem = None  # attached lazily by iolib
         # hot-path constants (MachineConfig is frozen); the o_send Delay
         # is immutable to the engine, so one shared instance serves
@@ -175,9 +178,10 @@ class World:
         pair; later ranks find it in the cache.  ``key`` is derived from
         the parent context plus what the creating call agrees on (for
         ``split``, the creation sequence number and color; for
-        ``group_from_ranks``, the member tuple and its formation
-        count), which all member ranks compute identically, mirroring
-        how real MPI agrees on context ids during ``MPI_Comm_split``.
+        ``group_from_ranks``, the member tuple's :meth:`group_id` and
+        its formation count), which all member ranks compute
+        identically, mirroring how real MPI agrees on context ids during
+        ``MPI_Comm_split``.
         """
         ids = self._subcomm_cache.get(key)
         if ids is None:
@@ -186,6 +190,25 @@ class World:
             ids = (p2p, p2p + 1)
             self._subcomm_cache[key] = ids
         return ids
+
+    def group_id(self, members: Tuple[int, ...]) -> int:
+        """Small id of a member tuple, the same for every tuple of equal
+        value.
+
+        A tuple's hash is not cached and costs O(members), so the tuple
+        a value was first formed with is found by identity: members that
+        share one tuple object (a plan's group and flow tuples) never
+        hash it, and any other tuple is hashed once."""
+        gid = self._group_ids_by_ref.get(id(members))
+        if gid is None:
+            gid = self._group_ids.get(members)
+            if gid is None:
+                gid = len(self._group_ids)
+                self._group_ids[members] = gid
+                # the by-value key keeps this tuple alive, so no other
+                # object takes its id() while the world exists
+                self._group_ids_by_ref[id(members)] = gid
+        return gid
 
     # ------------------------------------------------------------------
     # point-to-point transport
@@ -298,9 +321,10 @@ class Comm:
         self.name = name
         self._coll_seq = 0
         # dup/split calls so far; group_from_ranks counts per member
-        # tuple instead, since only the group's members call it
+        # tuple (by its World.group_id) instead, since only the group's
+        # members call it
         self._create_seq = 0
-        self._group_seq: Dict[Tuple[int, ...], int] = {}
+        self._group_seq: Dict[int, int] = {}
         self._freed = False
         # introspection as plain attributes: rank/size sit on every
         # hot path (validation, collectives) and property dispatch is
@@ -637,7 +661,11 @@ class Comm:
 
         The member list is agreed via a real allgather (so the call has
         realistic cost); context ids come from the world's first-creator
-        cache keyed identically on every rank.
+        cache keyed identically on every rank.  The first member to
+        return from the allgather sorts every color's members by
+        (key, rank) once and caches each color's member tuple and index
+        map under its context key, so the other members do no O(P)
+        work.
         """
         seq = self._create_seq
         self._create_seq += 1
@@ -646,15 +674,25 @@ class Comm:
         )
         if color is None:
             return None
-        members = sorted(
-            (k, r) for c, k, r in entries if c == color
-        )
-        locals_ = [r for _, r in members]
-        globals_ = [self.ranks[r] for r in locals_]
+        world = self.world
         ctx_key = (self.context, "split", seq, color)
-        p2p, coll = self.world.get_or_create_contexts(ctx_key)
-        return Comm(self.world, globals_, self._global, p2p, coll,
-                    name=f"{self.name}/split{seq}c{color}")
+        cached = world._group_cache.get(ctx_key)
+        if cached is None:
+            by_color: Dict[Any, list] = {}
+            for c, k, r in entries:
+                if c is not None:
+                    by_color.setdefault(c, []).append((k, r))
+            for c, members in by_color.items():
+                members.sort()
+                world._group_cache[(self.context, "split", seq, c)] = (
+                    tuple(self.ranks[r] for _, r in members),
+                    {r: i for i, (_, r) in enumerate(members)})
+            cached = world._group_cache[ctx_key]
+        globals_, index_of = cached
+        p2p, coll = world.get_or_create_contexts(ctx_key)
+        return Comm(world, globals_, self._global, p2p, coll,
+                    name=f"{self.name}/split{seq}c{color}",
+                    my_local=index_of[self._rank])
 
     def group_from_ranks(self, local_ranks: Sequence[int],
                          name: Optional[str] = None) -> "Comm":
@@ -664,21 +702,22 @@ class Comm:
         Only the group's members call this, each with the identical
         ``local_ranks`` list; ranks outside the group take no part.
         The members agree on the context ids through the world's
-        first-creator cache under the member tuple plus how many times
-        this rank has formed that tuple from this communicator, so the
-        k-th formation of a group on one member matches the k-th on
-        every other, whatever other groups, splits or dups each member
-        made in between.  No agreement round is paid because the
-        membership is already known deterministically on every rank
-        (e.g. derived from a validated
+        first-creator cache under the member tuple's
+        :meth:`World.group_id` plus how many times this rank has formed
+        that tuple from this communicator, so the k-th formation of a
+        group on one member matches the k-th on every other, whatever
+        other groups, splits or dups each member made in between.  No
+        agreement round is paid because the membership is already known
+        deterministically on every rank (e.g. derived from a validated
         :class:`~repro.core.groups.DecouplingPlan`).
         """
         if self._freed:
             raise CommunicatorError(
                 f"operation on freed communicator {self.name!r}")
         members = tuple(local_ranks)  # materialize once (iterables welcome)
-        seq = self._group_seq.get(members, 0)
-        ctx_key = (self.context, "group", members, seq)
+        gid = self.world.group_id(members)
+        seq = self._group_seq.get(gid, 0)
+        ctx_key = (self.context, "group", gid, seq)
         cached = self.world._group_cache.get(ctx_key)
         if cached is None:
             # first member rank to arrive validates and builds the
@@ -701,11 +740,9 @@ class Comm:
                 self._check_rank(r)
             globals_ = tuple(self.ranks[r] for r in members)
             index_of = {r: i for i, r in enumerate(members)}
-            cached = (members, globals_, index_of)
+            cached = (globals_, index_of)
             self.world._group_cache[ctx_key] = cached
-        # the first arrival's member tuple keys every member's count, so
-        # a rank holds no O(members) copy of its own
-        shared, globals_, index_of = cached
+        globals_, index_of = cached
         my_local = index_of.get(self._rank)
         if my_local is None:
             preview = (list(members) if len(members) <= 16
@@ -717,7 +754,7 @@ class Comm:
         # all validation passed: only now count this formation and
         # (first arrival) take the context ids, so an error above
         # leaves the count untouched
-        self._group_seq[shared] = seq + 1
+        self._group_seq[gid] = seq + 1
         p2p, coll = self.world.get_or_create_contexts(ctx_key)
         return Comm(self.world, globals_, self._global, p2p, coll,
                     name=name or f"{self.name}/group{seq}",
@@ -799,7 +836,7 @@ class Comm:
         ctx_key = (self.context, "dup", seq)
         p2p, coll = self.world.get_or_create_contexts(ctx_key)
         return Comm(self.world, self.ranks, self._global, p2p, coll,
-                    name=f"{self.name}/dup{seq}")
+                    name=f"{self.name}/dup{seq}", my_local=self._rank)
 
     def free(self) -> None:
         self._freed = True

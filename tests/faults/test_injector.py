@@ -196,6 +196,41 @@ def test_uncaught_failure_aborts_like_errors_are_fatal():
         run(prog, 2, faults=_crash(0.1, 1))
 
 
+def _bcast_from_crashing_root(comm, late):
+    if comm.rank == 0:
+        yield from comm.sleep(10.0)     # crashes at 0.1, before sending
+        yield from comm.bcast("x", root=0)
+        return "root"
+    if late:
+        yield from comm.sleep(1.0)      # detection at 0.1001 comes first
+    try:
+        yield from comm.bcast(None, root=0)
+    except ProcessFailedError as err:
+        return str(err), err.rank, comm.time
+    return "received"
+
+
+def test_bcast_posted_after_detection_fails_at_the_receive_gate():
+    """A tree receive from a detected-dead parent is never posted: the
+    fault controller's check_recv raises at the call."""
+    r = run(_bcast_from_crashing_root, 2, args=(True,),
+            faults=_crash(0.1, 0))
+    msg, rank, t = r.values[1]
+    assert msg.startswith("receive from rank 0 on ")
+    assert (rank, t, r.elapsed) == (0, 1.0, 1.0)
+
+
+def test_bcast_posted_before_the_crash_raises_the_poisoned_error():
+    """A tree receive already posted when its parent dies is poisoned at
+    detection, and the wait raises the poison's error."""
+    r = run(_bcast_from_crashing_root, 2, args=(False,),
+            faults=_crash(0.1, 0))
+    msg, rank, t = r.values[1]
+    assert msg == "rank 0 (global) failed at t=0.1, detected at t=0.1001"
+    assert (rank, t, r.elapsed) == (0, 0.10010000000000001,
+                                    0.10010000000000001)
+
+
 def test_collective_with_dead_member_resolves_via_revoke():
     """The ULFM pattern: the rank that observes the failure revokes the
     communicator, which resolves every other member's pending operation

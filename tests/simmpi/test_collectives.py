@@ -1,11 +1,14 @@
 """Integration + property tests for collective operations."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simmpi import beskow, ideal_network_testbed, quiet_testbed, run
+from repro.simmpi.collectives import binomial_schedule
 
 SIZES = [1, 2, 3, 4, 7, 8, 16, 33]
 
@@ -103,14 +106,16 @@ def test_allgatherv_variable_sizes():
     assert r.values == [expect] * 5
 
 
-@pytest.mark.parametrize("p", [1, 2, 4, 5, 8])
+@pytest.mark.parametrize("p", [1, 2, 4, 5, 8, 13])
 def test_scatter(p):
-    def prog(comm):
-        vals = [f"v{i}" for i in range(comm.size)] if comm.rank == 0 else None
-        out = yield from comm.scatter(vals, root=0)
+    def prog(comm, root):
+        vals = ([f"v{i}" for i in range(comm.size)] if comm.rank == root
+                else None)
+        out = yield from comm.scatter(vals, root=root)
         return out
 
-    assert run(prog, p).values == [f"v{i}" for i in range(p)]
+    for root in range(p):
+        assert run(prog, p, args=(root,)).values == [f"v{i}" for i in range(p)]
 
 
 def test_scatter_requires_full_vector():
@@ -345,3 +350,114 @@ def test_property_allgather_identity(p):
 
     r = run(prog, p, machine=ideal_network_testbed())
     assert r.values == [list(range(p))] * p
+
+
+# ----------------------------------------------------------------------
+# the cached binomial schedule and the tree messages posted from it
+# ----------------------------------------------------------------------
+
+def _mask_loop_tree(size, root, rank):
+    """``rank``'s parent, the children reduce/gather receive from in
+    order, and the children bcast sends to in order, derived with the
+    per-call mask loops the collectives once ran."""
+    vr = (rank - root) % size
+
+    def lrank(v):
+        return (v + root) % size
+
+    parent = None
+    mask = 1
+    while mask < size:                  # bcast's receive loop
+        if vr & mask:
+            parent = lrank(vr - mask)
+            break
+        mask <<= 1
+    sends = []
+    mask >>= 1
+    while mask > 0:                     # bcast's send loop
+        if vr + mask < size and not (vr & mask):
+            sends.append(lrank(vr + mask))
+        mask >>= 1
+    recvs = []
+    mask = 1
+    while mask < size:                  # reduce's and gather's loop
+        if vr & mask:
+            assert lrank(vr - mask) == parent
+            break
+        if vr + mask < size:
+            recvs.append(lrank(vr + mask))
+        mask <<= 1
+    return parent, tuple(recvs), tuple(sends)
+
+
+def test_binomial_schedule_matches_the_mask_loops():
+    for size in range(1, 131):
+        for root in range(size):
+            table = binomial_schedule(size, root)
+            assert len(table) == size
+            for rank in range(size):
+                parent, recvs, sends = _mask_loop_tree(size, root, rank)
+                assert table[rank] == (parent, recvs), (size, root, rank)
+                assert tuple(reversed(table[rank][1])) == sends
+
+
+def test_traced_collective_mix_keeps_its_trace():
+    """Every tree message's wait interval, in recording order: posting
+    straight to the transport moves no message, delay or wait (values
+    pinned from the mask-loop collectives over Comm.isend/irecv/wait)."""
+    def prog(comm):
+        yield from comm.compute(1e-3 * (comm.rank % 3), label="lead")
+        total = yield from comm.allreduce(comm.rank)
+        vec = yield from comm.allgather(comm.rank * 2)
+        yield from comm.barrier()
+        word = yield from comm.bcast("hello" if comm.rank == 5 else None,
+                                     root=5)
+        got = yield from comm.gather(comm.rank + 1, root=3)
+        return total, vec, word, got
+
+    r = run(prog, 13, machine=quiet_testbed(), trace=True)
+    evens = [2 * i for i in range(13)]
+    for rank, (total, vec, word, got) in enumerate(r.values):
+        assert (total, vec, word) == (78, evens, "hello")
+        assert got == (list(range(1, 14)) if rank == 3 else None)
+    intervals = [(i.rank, i.category, i.label, i.t0, i.t1)
+                 for i in r.tracer.intervals]
+    assert len(intervals) == 200
+    assert {(c, lab) for _, c, lab, _, _ in intervals} == {
+        ("compute", "lead"), ("wait", "coll-recv"), ("wait", "coll-send")}
+    assert hashlib.sha256(repr(intervals).encode()).hexdigest() == (
+        "9ffcd8239668c752ee243ea806f417f235ce8d1d59d842096a7909f38ace459c")
+    assert (r.elapsed, r.events, r.messages) == (0.00203253947499999, 602, 96)
+
+
+def test_split_matches_the_textbook_sort():
+    """Many colors, opted-out ranks and tied keys: every member gets the
+    ranks and rank of the textbook sort by (key, parent rank), also when
+    the parent is a sub-communicator whose ranks are not the world's."""
+    def color_of(r):
+        return None if r % 7 == 6 else r % 5
+
+    def key_of(r):
+        return (r * 3) % 4              # ties inside every color
+
+    def prog(comm):
+        half = yield from comm.split(comm.rank % 2, key=-comm.rank)
+        sub = yield from half.split(color_of(half.rank), key=key_of(half.rank))
+        if sub is None:
+            return half.ranks, None
+        return half.ranks, (sub.ranks, sub.rank, sub.size)
+
+    n = 37
+    r = run(prog, n)
+    for rank, (half_ranks, got) in enumerate(r.values):
+        expect_half = tuple(q for _, q in sorted(
+            (-q, q) for q in range(n) if q % 2 == rank % 2))
+        assert half_ranks == expect_half
+        color = color_of(expect_half.index(rank))
+        if color is None:
+            assert got is None
+            continue
+        members = sorted((key_of(h), h) for h in range(len(expect_half))
+                         if color_of(h) == color)
+        expect = tuple(expect_half[h] for _, h in members)
+        assert got == (expect, expect.index(rank), len(expect))
