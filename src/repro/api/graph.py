@@ -82,7 +82,6 @@ class FlowDef:
     src: str
     dst: str
     operator: Optional[Any] = None
-    operator_factory: Optional[Callable[[], Any]] = None
     router: Optional[Callable] = None
     window: int = DEFAULT_WINDOW
     element_overhead: float = DEFAULT_ELEMENT_OVERHEAD
@@ -90,18 +89,12 @@ class FlowDef:
     #: optional repro.faults.Checkpoint enabling stream-level recovery
     checkpoint: Optional[Any] = None
 
-    @property
-    def has_operator(self) -> bool:
-        return self.operator is not None or self.operator_factory is not None
-
     def make_operator(self) -> Optional[Any]:
         """A per-rank operator instance.
 
-        ``operator_factory`` (or a class passed as ``operator``) is
-        instantiated per consumer rank so stateful operators never share
-        state across ranks; a plain callable is used as-is."""
-        if self.operator_factory is not None:
-            return self.operator_factory()
+        A class passed as ``operator`` is instantiated per consumer rank
+        so stateful operators never share state across ranks; a plain
+        callable is used as-is."""
         if isinstance(self.operator, type):
             return self.operator()
         return self.operator
@@ -150,7 +143,6 @@ class StreamGraph:
 
     def flow(self, name: str, src: str, dst: str, *,
              operator: Optional[Any] = None,
-             operator_factory: Optional[Callable[[], Any]] = None,
              router: Optional[Callable] = None,
              window: int = DEFAULT_WINDOW,
              element_overhead: float = DEFAULT_ELEMENT_OVERHEAD,
@@ -159,9 +151,9 @@ class StreamGraph:
         """Declare a flow from stage ``src`` to stage ``dst``.
 
         ``operator`` is applied per element on the consumer — pass a
-        callable (shared), a class, or ``operator_factory`` for a fresh
-        stateful instance per consumer rank.  ``router``, ``window``,
-        ``element_overhead``, ``eager`` and ``checkpoint`` (a
+        callable (shared) or a class (a fresh stateful instance per
+        consumer rank).  ``router``, ``window``, ``element_overhead``,
+        ``eager`` and ``checkpoint`` (a
         :class:`~repro.faults.plan.Checkpoint` enabling stream-level
         recovery) forward to :func:`~repro.mpistream.stream.attach`.
         """
@@ -175,10 +167,6 @@ class StreamGraph:
         if src == dst:
             raise GraphError(
                 f"flow {name!r} must link two distinct stages")
-        if operator is not None and operator_factory is not None:
-            raise GraphError(
-                f"flow {name!r}: give at most one of operator / "
-                "operator_factory")
         if window < 1:
             raise GraphError(f"flow {name!r}: window must be >= 1")
         if element_overhead < 0:
@@ -195,8 +183,7 @@ class StreamGraph:
                 raise GraphError(
                     f"flow {name!r}: bad checkpoint policy: {exc}") from exc
         self._flows.append(FlowDef(
-            name, src, dst, operator=operator,
-            operator_factory=operator_factory, router=router,
+            name, src, dst, operator=operator, router=router,
             window=window, element_overhead=element_overhead, eager=eager,
             checkpoint=checkpoint))
         return self
@@ -260,7 +247,7 @@ class StreamGraph:
                 raise GraphError(
                     f"missing body: stage {s.name!r} touches no flows")
             for f in incoming:
-                if not f.has_operator:
+                if f.operator is None:
                     raise GraphError(
                         f"missing body: stage {s.name!r} consumes flow "
                         f"{f.name!r} which declares no operator")

@@ -113,7 +113,6 @@ class ConsumerHandle:
         self.flow_name = flow_name
         self._stream = stream
         self.operator = operator
-        self.operated = False
         self.closed = False
 
     def __enter__(self) -> "ConsumerHandle":
@@ -128,41 +127,32 @@ class ConsumerHandle:
         self.closed = True
         return False
 
+    def _bind(self, verb: str, operator: Optional[Callable]) -> Stream:
+        """The stream, with ``operator`` (else the flow's) bound to it."""
+        if self.closed:
+            raise GraphError(
+                f"{verb} on closed consumer for flow {self.flow_name!r}")
+        op = operator if operator is not None else self.operator
+        if op is None:
+            raise GraphError(
+                f"flow {self.flow_name!r} has no operator; declare one on "
+                f"the flow or pass one to {verb}()")
+        self.operator = op
+        self._stream.operator = op
+        return self._stream
+
     def operate(self, operator: Optional[Callable] = None
                 ) -> Generator[Any, Any, StreamProfile]:
         """Service the flow until every producer terminated
         (``MPIStream_Operate``).  ``operator`` overrides the flow-level
         operator for this rank (e.g. a closure over body state)."""
-        if self.closed:
-            raise GraphError(
-                f"operate on closed consumer for flow {self.flow_name!r}")
-        op = operator if operator is not None else self.operator
-        if op is None:
-            raise GraphError(
-                f"flow {self.flow_name!r} has no operator; declare one on "
-                "the flow or pass one to operate()")
-        self.operator = op
-        self._stream.operator = op
-        profile = yield from self._stream.operate()
-        self.operated = True
-        return profile
+        return self._bind("operate", operator).operate()
 
     def pending(self, operator: Optional[Callable] = None
                 ) -> Generator[Any, Any, int]:
         """Drain only the elements already queued (non-blocking); lets a
         consumer interleave stream service with its own work."""
-        if self.closed:
-            raise GraphError(
-                f"pending on closed consumer for flow {self.flow_name!r}")
-        op = operator if operator is not None else self.operator
-        if op is None:
-            raise GraphError(
-                f"flow {self.flow_name!r} has no operator; declare one on "
-                "the flow or pass one to pending()")
-        self.operator = op
-        self._stream.operator = op
-        n = yield from self._stream.operate_pending()
-        return n
+        return self._bind("pending", operator).operate_pending()
 
     @property
     def active_producers(self) -> int:

@@ -95,9 +95,7 @@ def _compute_rank(comm: Comm, cfg: CGConfig, sub, up, down, t0
         state.compute_q("inner")
         # 3. one aggregated bundle per iteration
         if state.neighbors:
-            element = None
-            while element is None:
-                element = yield from down.recv_element()
+            element = yield from down.recv_element()
             _dest, bundle_it, faces = element.data
             assert bundle_it == it, "bundle arrived out of iteration order"
             _absorb_bundle(cfg, state, faces)
@@ -140,9 +138,7 @@ def _halo_rank(comm: Comm, cfg: CGConfig, ch_up, up, down
     bytes_aggregated = 0
 
     for _ in range(total_expected):
-        element = None
-        while element is None:
-            element = yield from up.recv_element()
+        element = yield from up.recv_element()
         dest, it, src_rank, payload = element.data
         key = (it, dest)
         bucket = pending.setdefault(key, [])

@@ -107,9 +107,7 @@ def _mover_rank(comm: Comm, cfg: IPICConfig, up, down, state, t0
             exits = particles.select(~stay)
             particles = particles.select(stay)
             yield from up.isend((step, me, exits))
-            element = None
-            while element is None:
-                element = yield from down.recv_element()
+            element = yield from down.recv_element()
             _dest, arr_step, arrivals = element.data
             assert arr_step == step, "arrival batch out of step order"
             particles = ParticleBlock.concat([particles, arrivals])
@@ -168,9 +166,7 @@ def _exchange_strict(comm: Comm, cfg: IPICConfig, sub, ch_up, up, down
     for step in range(cfg.steps):
         by_dest: Dict[int, List[ParticleBlock]] = {}
         for _ in served:
-            element = None
-            while element is None:
-                element = yield from up.recv_element()
+            element = yield from up.recv_element()
             _step, _src, exits = element.data
             if len(exits):
                 owners = owner_of(exits.x, dims)
@@ -242,9 +238,7 @@ def _exchange_relaxed(comm: Comm, cfg: IPICConfig, ch_up, up, down
         buckets.clear()
 
     for _ in range(total_elements):
-        element = None
-        while element is None:
-            element = yield from up.recv_element()
+        element = yield from up.recv_element()
         _step, src, exits = element.data
         n_exit = exits.data
         particles_handled += n_exit

@@ -128,9 +128,9 @@ def _with_port_body(graph: StreamGraph, port: str,
         wrapped.stage(s.name, fraction=s.fraction, size=s.size, body=body)
     for f in graph.flows:
         wrapped.flow(f.name, f.src, f.dst, operator=f.operator,
-                     operator_factory=f.operator_factory, router=f.router,
-                     window=f.window, element_overhead=f.element_overhead,
-                     eager=f.eager, checkpoint=f.checkpoint)
+                     router=f.router, window=f.window,
+                     element_overhead=f.element_overhead, eager=f.eager,
+                     checkpoint=f.checkpoint)
     return wrapped
 
 

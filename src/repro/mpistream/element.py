@@ -19,6 +19,11 @@ class _Terminate:
 
     __slots__ = ()
 
+    #: a TERM's wire size (40 B with its sequence number): the 32 B
+    #: ``sys.getsizeof`` gives the sentinel on CPython 3.11, declared so
+    #: it holds on every interpreter and skips the generic type dispatch
+    __wire_nbytes__ = 32
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return "<MPIStream TERMINATE>"
 

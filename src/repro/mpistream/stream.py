@@ -22,7 +22,11 @@ Semantics reproduced faithfully:
   element; operators may themselves communicate or charge compute time
   (pass a generator function);
 * ``terminate`` ends one producer's flow; ``operate`` returns when all
-  producers that target this consumer have terminated.
+  producers that target this consumer have terminated.  ``operate``,
+  ``operate_pending`` (only what is already queued) and
+  ``recv_element`` (the next data element, ``None`` once every producer
+  has terminated) run one consumer loop, so TERMs, failures and
+  checkpoints behave alike whichever call reads the stream.
 
 Each ``isend`` charges the Eq.-4 per-element overhead ``o``
 (element construction + injection call), configurable per stream.
@@ -53,6 +57,9 @@ DEFAULT_ELEMENT_OVERHEAD = 2.0e-6
 
 #: default bound on a producer's in-flight elements before it waits
 DEFAULT_WINDOW = 64
+
+#: what the one consumer loop (`Stream._consume`) is driven for
+_OPERATE, _PENDING, _RECV = 0, 1, 2
 
 #: checkpoint acks travel on the stream's tag plus this offset, so they
 #: can never match data elements (stream tags are small per-channel ints)
@@ -284,38 +291,20 @@ class Stream:
         return self._expected_terms - self._terms_seen
 
     def recv_element(self) -> Generator[Any, Any, Optional[StreamElement]]:
-        """Receive the next element, FCFS across producers.
+        """Receive the next data element, FCFS across producers.
 
-        Returns ``None`` when a TERM is absorbed (callers loop).  Raises
-        if the stream is already fully terminated.
-        """
+        TERMs (and crashed producers) are accounted inside the consumer
+        loop, so this returns ``None`` only once every producer of this
+        consumer has terminated.  Under a checkpoint policy the caller
+        stands in for the operator: a snapshot an element's interval
+        asks for is taken on the next consumer call."""
         channel = self.channel
-        if channel.freed:
-            channel.check_alive()
         if not channel.is_consumer:
             raise CommunicatorError(
                 f"recv_element on a non-consumer rank (rank "
                 f"{channel.comm.rank}, role {channel.role})")
-        if self._expected_terms - self._terms_seen <= 0:
-            raise RequestError("stream fully terminated; no more elements")
-        comm = channel.comm
-        req = comm.irecv(ANY_SOURCE, self.tag)
-        # comm.wait inlined: one request per element makes the wait
-        # generator's allocation measurable at stream rates
-        req._waited = True
-        if req.is_set:
-            payload = req.payload
-        else:
-            world = comm.world
-            engine = world.engine
-            t0 = engine.now
-            payload = yield WaitFlag(req)
-            if world.tracer is not None and engine.now > t0:
-                world.tracer.record(comm.global_rank, "wait", "recv",
-                                    t0, engine.now)
-        if payload.__class__ is FaultSignal:
-            raise payload.error
-        return self._accept(payload)
+        # the loop's generator itself: no extra frame per element
+        return self._consume(_RECV)
 
     def _accept(self, payload) -> Optional[StreamElement]:
         """Account one arrival, ``((seq, data), status)``: a TERM counts
@@ -339,50 +328,66 @@ class Stream:
                                  self.channel.comm.world.engine.now)
         return StreamElement(data, source, seq, st.nbytes)
 
-    def _apply(self, element: StreamElement) -> Generator[Any, Any, None]:
-        result = self.operator(element)
-        if inspect.isgenerator(result) or type(result) is ComputeCharge:
-            yield from result
-
     def operate(self) -> Generator[Any, Any, StreamProfile]:
         """Consume until every producer terminates (``MPIStream_Operate``),
         applying the attached operator to each element on arrival."""
-        operator = self.operator
-        if operator is None:
+        if self.operator is None:
             raise CommunicatorError("operate on a stream with no operator")
+        # note: no is_consumer guard — a non-consumer has zero expected
+        # terminations, skips the loop and returns an empty profile
+        return self._consume(_OPERATE)
+
+    def operate_pending(self) -> Generator[Any, Any, int]:
+        """Drain only the elements already queued (non-blocking variant);
+        returns the number processed.  Lets a consumer interleave stream
+        service with its own work."""
+        if self.operator is None:
+            raise CommunicatorError("operate_pending needs an operator")
+        return self._consume(_PENDING)
+
+    def _consume(self, mode: int) -> Generator[Any, Any, Any]:
+        """The one consumer loop behind ``operate`` (until every producer
+        terminated), ``operate_pending`` (until a mailbox probe finds
+        nothing queued) and ``recv_element`` (until one data element
+        arrives).  It receives FCFS across producers, accounts TERMs via
+        `_accept`, handles detected failures and takes checkpoints.
+
+        The receive and the operator call are inlined: at funnel rates
+        one extra generator per element is real cost."""
         channel = self.channel
         if channel.freed:
             channel.check_alive()
-        # note: no is_consumer guard — a non-consumer has zero expected
-        # terminations, skips the loop and returns an empty profile,
-        # exactly as before the loop was inlined
         comm = channel.comm
         world = comm.world
         engine = world.engine
-        profile = self.profile
         tag = self.tag
         ckpt = self.checkpoint
         ctl = self._ctl
-        profile.service_start = engine.now
-        # the consumer hot loop: the receive and `_apply` are inlined —
-        # at funnel rates two extra generators per element are real
-        # cost — and arrivals are accounted by `_accept`, as in
-        # `recv_element()`.
+        operator = self.operator
         post_recv = world.post_recv
         my_global = comm._global
         context = comm.context
+        probe = (world.mailboxes[my_global].probe if mode == _PENDING
+                 else None)
+        if mode == _OPERATE:
+            self.profile.service_start = engine.now
+        processed = 0
         while self._expected_terms > self._terms_seen:
+            if ckpt is not None and self._since_ckpt >= ckpt.interval:
+                # the interval's last element has been handled, by the
+                # operator or by the recv_element caller it went to
+                yield from self._do_checkpoint()
             if ctl is not None:
                 if ctl.version != self._seen_version:
                     yield from self._handle_failures()
-                    comm.failure_ack()
                     continue      # accounting may have changed
                 try:
                     ctl.check_recv(comm, ANY_SOURCE)
                 except ProcessFailedError:
                     yield from self._handle_failures()
-                    comm.failure_ack()
                     continue
+            if probe is not None and probe(ANY_SOURCE, tag, context) is None:
+                break
             req = post_recv(my_global, ANY_SOURCE, tag, context,
                             label="stream-recv")
             req._waited = True
@@ -396,39 +401,23 @@ class Stream:
                                         t0, engine.now)
             if payload.__class__ is FaultSignal:
                 yield from self._handle_failures()
-                comm.failure_ack()
                 continue
             element = self._accept(payload)
             if element is None:
                 continue
-            result = operator(element)
-            if inspect.isgenerator(result) or type(result) is ComputeCharge:
-                yield from result
             if ckpt is not None:
                 self._contrib[element.source] = element.seq
                 self._since_ckpt += 1
-                if self._since_ckpt >= ckpt.interval:
-                    yield from self._do_checkpoint()
-        profile.service_end = engine.now
-        return profile
-
-    def operate_pending(self) -> Generator[Any, Any, int]:
-        """Drain only the elements already queued (non-blocking variant);
-        returns the number processed.  Lets a consumer interleave stream
-        service with its own work."""
-        if self.operator is None:
-            raise CommunicatorError("operate_pending needs an operator")
-        comm = self.channel.comm
-        processed = 0
-        while self.active_producers > 0:
-            st = comm.iprobe(source=ANY_SOURCE, tag=self.tag)
-            if st is None:
-                break
-            element = yield from self.recv_element()
-            if element is not None:
-                yield from self._apply(element)
-                processed += 1
-        return processed
+            if mode == _RECV:
+                return element
+            result = operator(element)
+            if inspect.isgenerator(result) or type(result) is ComputeCharge:
+                yield from result
+            processed += 1
+        if mode == _OPERATE:
+            self.profile.service_end = engine.now
+            return self.profile
+        return processed if mode == _PENDING else None
 
     # ------------------------------------------------------------------
     # failure handling and checkpointing (repro.faults).  Everything
@@ -441,16 +430,21 @@ class Stream:
         ctl = self._ctl
         if ctl is not None and ctl.version != self._seen_version:
             yield from self._handle_failures()
-            self.channel.comm.failure_ack()
 
     def _handle_failures(self) -> Generator[Any, Any, None]:
         """Process newly detected failures in detection order: adjust
         termination accounting, retarget producers to the deterministic
         successor consumer (replaying un-acked elements when the stream
-        checkpoints), and adopt orphaned producers on the successor."""
+        checkpoints), and adopt orphaned producers on the successor;
+        then acknowledge them (``Comm.failure_ack``) so wildcard
+        receives on the channel continue from the survivors."""
         ctl = self._ctl
         channel = self.channel
         ranks = channel.comm.ranks
+        # the version this walk covers: a failure detected while it
+        # yields (a restore, a replay) leaves the stream behind, so the
+        # next poll or loop pass handles it
+        version = ctl.version
         for g in list(ctl.detected):
             if g in self._handled_globals:
                 continue
@@ -467,7 +461,8 @@ class Stream:
             ci = channel.consumer_index_of(local)
             if ci is not None:
                 yield from self._on_consumer_death(ci, prev_dead)
-        self._seen_version = ctl.version
+        self._seen_version = version
+        channel.comm.failure_ack()
 
     def _on_producer_death(self, pi: int) -> None:
         """A producer died: its TERM will never arrive.  Only the
@@ -618,7 +613,6 @@ class Stream:
             payload = req.payload
             if payload.__class__ is FaultSignal:
                 yield from self._handle_failures()
-                comm.failure_ack()
             else:
                 watermark, _st = payload
                 unacked = self._unacked
@@ -633,7 +627,6 @@ class Stream:
                 return
             except ProcessFailedError:
                 yield from self._handle_failures()
-                comm.failure_ack()
 
 
 def attach(channel: StreamChannel, operator: Optional[Callable] = None,

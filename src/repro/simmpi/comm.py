@@ -133,10 +133,8 @@ class World:
         if mailbox_factory is None:
             mailbox_factory = Mailbox
         self.mailboxes = [mailbox_factory() for _ in range(nranks)]
-        # placement-resolved rank→node lookup; injected seed-era
-        # networks (OracleNetwork) predate the fabric contract and fall
-        # back to the config's block-placement shim
-        self.node_of = getattr(self.network, "node_of", config.node_of)
+        # the network's placement-resolved rank→node lookup
+        self.node_of = self.network.node_of
         self.tracer = tracer
         self._context_counter = 16  # low ids reserved for COMM_WORLD
         self._subcomm_cache: Dict[tuple, tuple] = {}

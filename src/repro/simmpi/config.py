@@ -26,7 +26,6 @@ from typing import Any, Callable, Dict, Optional, Union
 from .placement import (
     Placement,
     PlacementPolicy,
-    block_node_of,
     placement_from_json,
     resolve_placement,
 )
@@ -278,19 +277,6 @@ class MachineConfig:
         """Resolve this machine's placement policy for ``nranks``."""
         return resolve_placement(self.placement).resolve(
             nranks, self.ranks_per_node)
-
-    def node_of(self, rank: int) -> int:
-        """Node id of ``rank`` under *block* placement.
-
-        .. deprecated:: PR 3
-           Rank→node mapping is owned by :mod:`repro.simmpi.placement`;
-           use :meth:`placement_for` (or the fabric's resolved node
-           map).  Kept as a thin forwarding shim so seed-era callers —
-           including :class:`repro.simmpi.oracle.OracleNetwork`, which
-           must stay byte-identical — keep working unchanged.  This
-           shim ignores any configured placement policy.
-        """
-        return block_node_of(rank, self.ranks_per_node)
 
     def with_(self, **kwargs) -> "MachineConfig":
         """Return a copy with the given top-level fields replaced."""

@@ -185,13 +185,17 @@ class OracleNetwork:
         self.bytes_sent = 0
 
     # ------------------------------------------------------------------
+    def node_of(self, rank: int) -> int:
+        """The seed's block rule: ranks fill nodes contiguously."""
+        return rank // self.config.ranks_per_node
+
     def _link(self, src: int, dst: int) -> Tuple[float, float]:
         """(latency, bandwidth) for the src->dst pair."""
         net = self.config.network
         if src == dst:
             # self-send: memcpy-like
             return (0.0, net.intra_node_bandwidth)
-        if self.config.node_of(src) == self.config.node_of(dst):
+        if self.node_of(src) == self.node_of(dst):
             return (net.intra_node_latency, net.intra_node_bandwidth)
         return (net.latency * self._dilation, net.bandwidth)
 

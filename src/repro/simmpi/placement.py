@@ -62,18 +62,12 @@ __all__ = [
     "Placement",
     "PlacementPolicy",
     "RoundRobinPlacement",
-    "block_node_of",
     "placement_from_json",
     "resolve_placement",
 ]
 
 #: one contiguous group block: (name, first_rank, size)
 GroupBlock = Tuple[str, int, int]
-
-
-def block_node_of(rank: int, ranks_per_node: int) -> int:
-    """The seed rule, kept callable on its own: contiguous fill."""
-    return rank // ranks_per_node
 
 
 class Placement:

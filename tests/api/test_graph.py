@@ -82,9 +82,6 @@ def test_flow_parameter_validation():
         g.flow("f", "a", "b", window=0)
     with pytest.raises(GraphError, match="element_overhead"):
         g.flow("f", "a", "b", element_overhead=-1.0)
-    with pytest.raises(GraphError, match="at most one"):
-        g.flow("f", "a", "b", operator=Collector(),
-               operator_factory=Collector)
 
 
 # ----------------------------------------------------------------------

@@ -163,6 +163,16 @@ def test_committed_fabric_contention_golden_matches():
     perf.check_golden(rec, golden)
 
 
+def test_committed_fig7_pcomm_golden_matches():
+    """The stream-consumer gate: fig7-pcomm's consumers read their
+    streams through ``operate_pending`` and ``recv_element`` with TERMs,
+    which its slow-path leg shares, so only a golden catches drift."""
+    golden = os.path.join(os.path.dirname(__file__), "..", "..",
+                          "benchmarks", "golden", "fig7_pcomm_perf.json")
+    rec = perf.run_scenario("fig7-pcomm", "fast")
+    perf.check_golden(rec, golden)
+
+
 def test_profile_layers():
     prof = perf.profile_scenario("quickstart", top_n=3)
     assert prof["total_s"] > 0

@@ -14,6 +14,7 @@ from repro.faults.apps import (
     cg_halo_recovery,
     pcomm_recovery,
 )
+from repro.mpistream import attach, create_channel
 from repro.simmpi import (
     DeadlockError,
     SizedPayload,
@@ -147,6 +148,39 @@ def test_producer_crash_terminates_its_flow():
     for producer_rank, indexes in seen.items():
         if producer_rank != 0:
             assert indexes == set(range(ELEMENTS))
+
+
+def test_failure_detected_during_a_restore_is_handled():
+    """A producer death detected while the successor is still restoring
+    the dead consumer's snapshot must not be marked seen unhandled: the
+    successor discounts the dead producer and finishes, instead of
+    waiting for its TERM until the run deadlocks."""
+    def prog(comm):
+        is_cons = comm.rank >= 4
+        ch = yield from create_channel(comm, not is_cons, is_cons)
+        got = []
+        s = yield from attach(ch, lambda el: got.append(el.data),
+                              checkpoint=Checkpoint(interval=4))
+        if not is_cons:
+            for i in range(20):
+                yield from comm.compute(1e-3)
+                yield from s.isend((comm.rank, i))
+            yield from s.terminate()
+            yield from comm.compute(20e-3)
+            yield from ch.free()
+            return None
+        yield from s.operate()
+        done = comm.time
+        yield from ch.free()
+        return done, got
+
+    # consumer 4 dies; its successor 5 restores a 1 MiB snapshot (~0.9
+    # ms), during which 5's own producer 2 dies
+    r = run(prog, 6, machine=quiet_testbed(),
+            faults=FaultPlan([RankCrash(5e-3, 4), RankCrash(5.4e-3, 2)]))
+    done, got = r.values[5]
+    assert done < 0.025      # before the survivors' late teardown
+    assert sorted(i for rank, i in got if rank == 3) == list(range(20))
 
 
 def test_recovery_demo_apps_run_and_recover():

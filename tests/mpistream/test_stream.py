@@ -10,8 +10,11 @@ from repro.mpistream import (
     attach,
     create_channel,
 )
+from repro.faults import Checkpoint, FaultPlan, RankCrash
 from repro.mpistream.channel import blocked_fan_in, blocked_peers
+from repro.mpistream.element import TERMINATE, element_nbytes
 from repro.simmpi import beskow, quiet_testbed, run
+from repro.simmpi.datatypes import payload_nbytes
 from repro.simmpi.errors import CommunicatorError, RequestError
 
 
@@ -441,3 +444,114 @@ def test_stream_traffic_isolated_from_app_p2p():
 
     r = run(prog, 2)
     assert r.values[1] == ("app-data", ["stream-data"])
+
+
+# ----------------------------------------------------------------------
+# one consumer loop: recv_element and operate_pending read a stream the
+# way operate does (TERMs absorbed, failures handled, checkpoints taken)
+# ----------------------------------------------------------------------
+
+def _crashing_producers(drain):
+    """Ranks 0-2 send 20 elements each, 1 ms apart, to consumer rank 3,
+    which reads them with ``drain(stream, comm, got)``; rank 1 crashes
+    at 7.5 ms, after its 7th element."""
+    def prog(comm):
+        is_prod, is_cons = _roles(comm)
+        ch = yield from create_channel(comm, is_prod, is_cons)
+        got = []
+        s = yield from attach(ch, lambda el: got.append(el.data))
+        if is_prod:
+            for i in range(20):
+                yield from comm.compute(1e-3)
+                yield from s.isend((comm.rank, i))
+            yield from s.terminate()
+        else:
+            yield from drain(s, comm, got)
+        yield from ch.free()
+        return got if is_cons else None
+
+    r = run(prog, 4, machine=quiet_testbed(),
+            faults=FaultPlan([RankCrash(7.5e-3, 1)]))
+    got = r.values[3]
+    assert len(got) == 47
+    by_producer = {}
+    for rank, i in got:
+        by_producer.setdefault(rank, []).append(i)
+    assert by_producer == {0: list(range(20)), 1: list(range(7)),
+                           2: list(range(20))}
+
+
+def test_recv_element_survives_a_producer_crash():
+    def drain(s, comm, got):
+        while True:
+            element = yield from s.recv_element()
+            if element is None:
+                return
+            got.append(element.data)
+
+    _crashing_producers(drain)
+
+
+def test_operate_pending_survives_a_producer_crash():
+    def drain(s, comm, got):
+        while s.active_producers > 0:
+            yield from s.operate_pending()
+            yield from comm.compute(5e-4, label="own-work")
+
+    _crashing_producers(drain)
+
+
+def test_recv_element_absorbs_a_queued_term():
+    """A TERM queued ahead of another producer's element is absorbed:
+    recv_element returns the element, and None only once every
+    producer has terminated."""
+    def prog(comm):
+        is_prod, is_cons = _roles(comm)
+        ch = yield from create_channel(comm, is_prod, is_cons)
+        s = yield from attach(ch)
+        if comm.rank == 0:
+            yield from s.terminate()
+        elif comm.rank == 1:
+            yield from comm.compute(1e-3)
+            yield from s.isend("late")
+            yield from s.terminate()
+        else:
+            yield from comm.compute(5e-3)   # both arrivals queue up
+            first = yield from s.recv_element()
+            last = yield from s.recv_element()
+            return (first.data, first.source, last)
+
+    r = run(prog, 3, machine=quiet_testbed())
+    assert r.values[2] == ("late", 1, None)
+
+
+def test_recv_element_checkpoints_like_operate():
+    """Under a checkpoint policy a recv_element consumer takes the
+    snapshots operate takes: the caller's handling of an element stands
+    in for the operator, and the snapshot follows on the next call."""
+    def consume(use_recv):
+        def prog(comm):
+            is_prod, is_cons = _roles(comm)
+            ch = yield from create_channel(comm, is_prod, is_cons)
+            s = yield from attach(ch, Collector(),
+                                  checkpoint=Checkpoint(interval=4))
+            if is_prod:
+                for i in range(10):
+                    yield from s.isend(i)
+                yield from s.terminate()
+                return None
+            if use_recv:
+                while (yield from s.recv_element()) is not None:
+                    pass
+            else:
+                yield from s.operate()
+            return (s.profile.checkpoints, s.profile.acked_elements)
+
+        return run(prog, 3, machine=quiet_testbed()).values[2]
+
+    assert consume(use_recv=True) == consume(use_recv=False) == (5, 20)
+
+
+def test_term_wire_size_is_declared():
+    assert element_nbytes(TERMINATE) == 40
+    assert payload_nbytes((7, TERMINATE)) == 40

@@ -9,6 +9,7 @@ from repro.simmpi import (
     quiet_testbed,
     run,
 )
+from repro.simmpi.oracle import OracleNetwork
 
 
 def test_values_and_finish_times_per_rank():
@@ -126,11 +127,15 @@ def test_with_replaces_fields():
 
 
 def test_node_of():
-    """The deprecated shim keeps the seed block rule verbatim."""
-    cfg = beskow()
-    assert cfg.node_of(0) == 0
-    assert cfg.node_of(31) == 0
-    assert cfg.node_of(32) == 1
+    """The world's rank->node map is its network's; the default flat
+    fabric and the seed OracleNetwork both keep the seed block rule."""
+    def prog(comm):
+        yield from comm.barrier()
+
+    for factory in (None, OracleNetwork):
+        world = run(prog, 2, machine=beskow(),
+                    network_factory=factory).extras["world"]
+        assert [world.node_of(r) for r in (0, 31, 32)] == [0, 0, 1]
 
 
 def test_compute_speed_scales_time():

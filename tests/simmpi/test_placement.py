@@ -9,7 +9,6 @@ from repro.simmpi.placement import (
     ColocatedPlacement,
     PartitionedPlacement,
     RoundRobinPlacement,
-    block_node_of,
     resolve_placement,
 )
 
@@ -31,16 +30,6 @@ def test_block_beyond_prefix_stays_seed_identical():
     p = BlockPlacement().resolve(40, 32)   # node 1 holds only 8 ranks
     for r in (40, 41, 63, 64, 100, 1000):
         assert p.node_of(r) == r // 32
-
-
-def test_machine_node_of_shim_forwards_to_block():
-    cfg = quiet_testbed()
-    assert cfg.node_of(0) == block_node_of(0, 32) == 0
-    assert cfg.node_of(33) == block_node_of(33, 32) == 1
-    # the shim deliberately ignores the configured policy (seed-era
-    # callers and OracleNetwork must stay byte-identical)
-    cfg2 = cfg.with_(placement=RoundRobinPlacement())
-    assert cfg2.node_of(1) == 0
 
 
 def test_machine_placement_for_resolves_policy():
