@@ -29,6 +29,7 @@ keeps its original plain-rank-program signature so existing callers
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Dict, Generator
 
 from ...api import StreamGraph
@@ -139,16 +140,9 @@ def build_graph(cfg: MapReduceConfig) -> StreamGraph:
 #: per-config compiled graph: building and validating the graph is a
 #: pure function of cfg, but the SPMD launcher calls decoupled_worker
 #: once per rank — without the memo an 8k-rank run pays 8k compiles
-_compiled_memo: Dict[MapReduceConfig, Any] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _compiled(cfg: MapReduceConfig):
-    compiled = _compiled_memo.get(cfg)
-    if compiled is None:
-        if len(_compiled_memo) >= 64:
-            _compiled_memo.clear()
-        compiled = _compiled_memo[cfg] = build_graph(cfg).compile(cfg.nprocs)
-    return compiled
+    return build_graph(cfg).compile(cfg.nprocs)
 
 
 def decoupled_worker(comm: Comm, cfg: MapReduceConfig

@@ -394,10 +394,10 @@ def _clear_memos() -> None:
     mr_common._file_tables.clear()
     mr_common._jitter_tables.clear()
     mr_common._chunk_sketch_memo.clear()
-    mr_decoupled._compiled_memo.clear()
-    fault_apps._compiled_memo.clear()
-    cosim_apps._graph_memo.clear()
-    cosim_coupling._compile_memo.clear()
+    mr_decoupled._compiled.cache_clear()
+    fault_apps._compiled.cache_clear()
+    cosim_apps._graphs.cache_clear()
+    cosim_coupling._compiled.cache_clear()
     topology._best_dims.cache_clear()
     topology._divisors.cache_clear()
     mp_channel._peers_cache.clear()

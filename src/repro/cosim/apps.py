@@ -13,6 +13,7 @@ and cached — like any other machine axis.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, Optional, Tuple
 
@@ -82,16 +83,9 @@ def build_graphs(cfg: CosimConfig) -> Tuple[StreamGraph, StreamGraph]:
 #: graphs are pure functions of the config; building once per process
 #: keeps the coupled compile memo (same graph objects on every rank)
 #: effective
-_graph_memo: Dict[CosimConfig, Tuple[StreamGraph, StreamGraph]] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _graphs(cfg: CosimConfig) -> Tuple[StreamGraph, StreamGraph]:
-    hit = _graph_memo.get(cfg)
-    if hit is None:
-        if len(_graph_memo) >= 64:
-            _graph_memo.clear()
-        hit = _graph_memo[cfg] = build_graphs(cfg)
-    return hit
+    return build_graphs(cfg)
 
 
 def cosim_worker(comm, cfg: CosimConfig, hub=None

@@ -20,6 +20,7 @@ nprocs_a)``, so no agreement round is paid.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from ..api.graph import StreamGraph
@@ -38,22 +39,12 @@ _ACTIVE_PORTS: Dict[Tuple[int, int], Any] = {}
 
 #: wrapped-and-compiled graphs, keyed by graph identity + layout; every
 #: rank of a run passes the same StreamGraph objects, so this turns
-#: O(P) compiles per run into O(1).  Identity keys are guarded against
-#: id() reuse by keeping the graph reference in the value.
-_compile_memo: Dict[tuple, tuple] = {}
-
-
+#: O(P) compiles per run into O(1).  The cache holds each key's graph,
+#: so a graph's identity cannot be reused while its entry lives.
+@functools.lru_cache(maxsize=64)
 def _compiled(graph: StreamGraph, port: str,
               default_body: Optional[Callable], nprocs: int):
-    key = (id(graph), port, default_body is not None, nprocs)
-    hit = _compile_memo.get(key)
-    if hit is not None and hit[0] is graph:
-        return hit[1]
-    if len(_compile_memo) >= 64:
-        _compile_memo.clear()
-    compiled = _with_port_body(graph, port, default_body).compile(nprocs)
-    _compile_memo[key] = (graph, compiled)
-    return compiled
+    return _with_port_body(graph, port, default_body).compile(nprocs)
 
 
 class CouplingLayout:

@@ -30,7 +30,7 @@ from .apps import (
     cg_halo_recovery,
     pcomm_recovery,
 )
-from .injector import FaultController, FaultyNetwork
+from .injector import FaultController
 from .plan import (
     Checkpoint,
     FaultError,
@@ -47,7 +47,6 @@ __all__ = [
     "FaultController",
     "FaultError",
     "FaultPlan",
-    "FaultyNetwork",
     "LinkDegrade",
     "PcommRecoveryConfig",
     "RankCrash",

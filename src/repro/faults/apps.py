@@ -23,6 +23,7 @@ imbalance to absorb — the same role noise plays in the originals.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Dict, Generator
 
@@ -142,16 +143,9 @@ def _build_graph(cfg: _RecoveryConfig, name: str) -> StreamGraph:
 
 #: compiled graphs are pure functions of the config; compiling once per
 #: run (not once per rank) keeps setup O(P)
-_compiled_memo: Dict[Any, Any] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _compiled(cfg: _RecoveryConfig, name: str):
-    hit = _compiled_memo.get(cfg)
-    if hit is None:
-        if len(_compiled_memo) >= 64:
-            _compiled_memo.clear()
-        hit = _compiled_memo[cfg] = _build_graph(cfg, name).compile(cfg.nprocs)
-    return hit
+    return _build_graph(cfg, name).compile(cfg.nprocs)
 
 
 def _recovery_worker(comm: Comm, cfg: _RecoveryConfig, name: str

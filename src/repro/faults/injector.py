@@ -28,9 +28,9 @@ Everything is edge-triggered at fixed virtual times over deterministic
 structures (communicators in registration order, mailboxes by rank), so
 a faulted run replays bit-identically for a fixed (seed, plan).
 
-:class:`FaultyNetwork` implements :class:`~repro.faults.plan.
-LinkDegrade` on the flat fabric: transfers injected inside a degradation
-window between the two nodes run at ``bandwidth / bw_factor``.
+:class:`~repro.faults.plan.LinkDegrade` windows are not the
+controller's: the launcher installs them on the run's network
+(:meth:`~repro.simmpi.network.Network.degrade`).
 """
 
 from __future__ import annotations
@@ -38,13 +38,11 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..simmpi.config import MachineConfig
 from ..simmpi.errors import FaultSignal, ProcessFailedError, RevokedError
 from ..simmpi.matching import ANY_SOURCE
-from ..simmpi.network import Network, TransferTiming
 from .plan import FaultError, FaultPlan
 
-__all__ = ["FaultController", "FaultyNetwork"]
+__all__ = ["FaultController"]
 
 
 class FaultController:
@@ -320,61 +318,3 @@ class FaultController:
             "events": len(self.plan.events),
             "detection_latency": self.plan.detection_latency,
         }
-
-
-class FaultyNetwork(Network):
-    """The flat fabric with :class:`LinkDegrade` windows applied.
-
-    Transfers between the affected node pair whose injection falls
-    inside a window serialize at ``bandwidth / bw_factor``; everything
-    else takes the byte-identical parent path.
-    """
-
-    def __init__(self, config: MachineConfig, nranks: int, plan: FaultPlan):
-        super().__init__(config, nranks)
-        self._degraded: Dict[Tuple[int, int],
-                             List[Tuple[float, float, float]]] = {}
-        for ev in plan.link_events:
-            key = (min(ev.node_a, ev.node_b), max(ev.node_a, ev.node_b))
-            self._degraded.setdefault(key, []).append(
-                (ev.t0, ev.t1, ev.bw_factor))
-        for windows in self._degraded.values():
-            windows.sort()
-
-    def _bw_factor(self, node_s: int, node_d: int, when: float) -> float:
-        key = (node_s, node_d) if node_s < node_d else (node_d, node_s)
-        windows = self._degraded.get(key)
-        if windows:
-            for t0, t1, factor in windows:
-                if t0 <= when < t1:
-                    return factor
-        return 1.0
-
-    def transfer(self, src: int, dst: int, nbytes: int, ready: float
-                 ) -> TransferTiming:
-        if src < 0 or dst < 0:
-            raise ValueError(f"negative rank in transfer: {src}->{dst}")
-        if src >= self._size or dst >= self._size:
-            self._grow((src if src > dst else dst) + 1)
-        node = self._node
-        if src == dst or node[src] == node[dst]:
-            return Network.transfer(self, src, dst, nbytes, ready)
-        inject = self._tx_free[src]
-        if ready > inject:
-            inject = ready
-        factor = self._bw_factor(node[src], node[dst], inject)
-        if factor == 1.0:
-            return Network.transfer(self, src, dst, nbytes, ready)
-        latency, bandwidth = self._inter_link
-        serial = nbytes / (bandwidth / factor)
-        sender_free = inject + serial
-        self._tx_free[src] = sender_free
-        arrival = sender_free + latency
-        delivered = self._rx_free[dst]
-        if arrival > delivered:
-            delivered = arrival
-        delivered += serial
-        self._rx_free[dst] = delivered
-        self.messages_sent += 1
-        self.bytes_sent += nbytes
-        return TransferTiming(inject, sender_free, arrival, delivered)

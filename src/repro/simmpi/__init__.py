@@ -77,7 +77,7 @@ from .errors import (
 from .launcher import SimResult, run
 from .matching import ANY_SOURCE, ANY_TAG, TAG_UB
 from .noise import NoiseModel
-from .network import Fabric, Network, TransferTiming, build_network
+from .network import Network, TransferTiming
 from .request import Request, Status
 from .rma import Win
 from .topology import CartComm, cart_create, dims_create
@@ -86,7 +86,7 @@ __all__ = [
     "ANY_SOURCE", "ANY_TAG", "BYTE", "BlockPlacement", "CHAR", "CartComm",
     "ColocatedPlacement", "Comm", "CommunicatorError", "DOUBLE", "Datatype",
     "DeadlockError", "Delay", "DragonflyFabric", "Engine", "EventFlag",
-    "FLOAT", "Fabric", "FatTreeFabric", "File", "FileSystem", "INT",
+    "FLOAT", "FatTreeFabric", "File", "FileSystem", "INT",
     "IOConfig", "Intercomm", "InvalidRankError", "InvalidTagError", "LONG",
     "MachineConfig", "Network", "NetworkConfig", "NoiseConfig",
     "NoiseModel", "PartitionedPlacement", "Placement",
@@ -96,7 +96,7 @@ __all__ = [
     "Spawn", "Status", "TAG_UB", "TopologyConfig", "TopologyError",
     "TransferTiming", "TruncationError", "WaitFlag", "Win", "WindowError",
     "beskow",
-    "build_network", "cart_create", "contiguous", "dims_create",
+    "cart_create", "contiguous", "dims_create",
     "ideal_network_testbed", "open_file", "payload_nbytes",
     "quiet_testbed", "read_back", "resolve_placement", "resolve_topology",
     "run", "struct", "vector",

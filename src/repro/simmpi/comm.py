@@ -36,7 +36,7 @@ from .errors import (
     TruncationError,
 )
 from .matching import ANY_SOURCE, ANY_TAG, TAG_UB, Envelope, Mailbox
-from .network import build_network
+from .network import Network
 from .noise import NoiseModel
 from .request import Request, Status
 from . import collectives
@@ -123,12 +123,9 @@ class World:
         self.engine = engine
         self.config = config
         self.nranks = nranks
-        if network_factory is None:
-            # the machine's TopologyConfig picks the fabric (flat /
-            # fat-tree / dragonfly), its placement policy the node map
-            self.network = build_network(config, nranks)
-        else:
-            self.network = network_factory(config, nranks)
+        # the machine's TopologyConfig picks the network's route (flat /
+        # fat-tree / dragonfly), its placement policy the node map
+        self.network = (network_factory or Network)(config, nranks)
         self.noise = NoiseModel(config.noise, nranks)
         if mailbox_factory is None:
             mailbox_factory = Mailbox

@@ -58,7 +58,7 @@ class TopologyConfig(_JsonConfig):
     """Which fabric the interconnect model uses, and its knobs.
 
     ``kind`` selects one of the fabric implementations (see
-    :func:`repro.simmpi.network.build_network` and DESIGN.md §9):
+    :class:`repro.simmpi.network.Network` and DESIGN.md §9):
 
     * ``"flat"`` — the two-level intra/inter-node LogGP model (default;
       bit-identical to the seed and to ``OracleNetwork``).
@@ -165,6 +165,13 @@ class NetworkConfig(_JsonConfig):
             raise ValueError("bandwidth must be positive")
         if self.eager_threshold < 0:
             raise ValueError("eager_threshold must be non-negative")
+        for name in ("o_send", "o_recv", "fabric_dilation"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value!r}")
+        if self.dilation_base < 1:
+            raise ValueError(
+                f"dilation_base must be >= 1, got {self.dilation_base!r}")
 
 
 @dataclass(frozen=True)
@@ -239,6 +246,12 @@ class IOConfig(_JsonConfig):
             raise ValueError("stripe_count must be positive")
         if self.collective_unaligned_factor < 1 or self.shared_fragment_factor < 1:
             raise ValueError("amplification factors must be >= 1")
+        for name in ("client_overhead", "shared_pointer_overhead",
+                     "view_setup_overhead", "collective_exchange_overhead",
+                     "open_overhead"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -1,43 +1,45 @@
-"""Topology-aware fabrics: fat-tree and dragonfly interconnect models.
+"""Topology routes: the fat-tree and dragonfly wires between nodes.
 
-Both implement the :class:`~repro.simmpi.network.Fabric` contract
-(DESIGN.md §9) and keep the flat-list, O(1)-per-message fast-path
-discipline of the flat :class:`~repro.simmpi.network.Network`: every
-timeline is a rank-, switch- or group-indexed list of floats, grown
-lazily, and ``transfer`` walks a bounded handful of them per message.
+:class:`~repro.simmpi.network.Network` times every message and owns
+the NIC discipline (DESIGN.md §9); on a fat-tree or dragonfly machine
+it asks an inter-node message's wire from the route here.  A route
+answers two questions about a pair of distinct nodes:
 
-Self-sends and intra-node messages behave exactly as on the flat
-fabric (shared memory does not care about the cable plant); only
-inter-node traffic is routed through the modeled topology.  Like the
-flat model, both fabrics are first-order and deterministic — they are
-calibrated to reproduce *contention shapes* (which placement wins, how
-the gap moves with scale), not cycle-accurate hop counts.
+``link(src_node, dst_node) -> (latency, bandwidth)``
+    The latency-only cost of a rendezvous header.
+``arrival(src_node, dst_node, nbytes, sender_free) -> float``
+    When a payload that left the sender's NIC at ``sender_free``
+    reaches the receiver's NIC; commits the route's own timelines.
+
+Self-sends and intra-node messages never reach a route (shared memory
+does not care about the cable plant).  Every timeline is a switch- or
+group-indexed list of floats, grown lazily, and ``arrival`` walks a
+bounded handful of them per message.  Like the flat model, both routes
+are first-order and deterministic — they are calibrated to reproduce
+*contention shapes* (which placement wins, how the gap moves with
+scale), not cycle-accurate hop counts.
 
 ``NetworkConfig.fabric_dilation`` is deliberately **not** applied
 here: that factor is the flat model's *surrogate* for the extra hops
-and adaptive-routing traffic of large allocations, and these fabrics
+and adaptive-routing traffic of large allocations, and these routes
 model exactly those effects explicitly (per-level climbs, per-group
-global pipes).  Applying both would double-count; ``dilation()`` still
-reports the factor for observability, but topology latencies come only
-from the ``TopologyConfig`` knobs.
+global pipes).  Applying both would double-count; topology latencies
+come only from the ``TopologyConfig`` knobs.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 from .config import MachineConfig
-from .network import Fabric, TransferTiming
 
 __all__ = [
     "DragonflyFabric",
     "FatTreeFabric",
 ]
 
-_tuple_new = tuple.__new__
 
-
-class FatTreeFabric(Fabric):
+class FatTreeFabric:
     """Nodes are leaves of a ``radix``-ary tree with per-level uplinks.
 
     A message between different nodes climbs to the lowest common
@@ -49,13 +51,13 @@ class FatTreeFabric(Fabric):
     links while a colocated layout stays under one leaf switch.
     """
 
-    def __init__(self, config: MachineConfig, nranks: int):
-        super().__init__(config, nranks)
+    def __init__(self, config: MachineConfig, nodes: List[int]):
         topo = config.topology
+        self._topo = topo
         self._radix = topo.radix
         self._hop = topo.link_latency
         self._bw = config.network.bandwidth   # NIC injection/drain rate
-        nnodes = (max(self._node) + 1) if self._node else 1
+        nnodes = (max(nodes) + 1) if nodes else 1
         levels = 1
         capacity = self._radix
         while capacity < nnodes:
@@ -86,48 +88,19 @@ class FatTreeFabric(Fabric):
         while level > self._levels:
             # lazily-grown node ids outgrew the tree: add a level
             self._up_free.append([0.0])
-            self._up_bw.append(self._up_bw[-1] / self.config.topology.taper
+            self._up_bw.append(self._up_bw[-1] / self._topo.taper
                                if self._up_bw
-                               else self.config.topology.uplink_bandwidth)
+                               else self._topo.uplink_bandwidth)
             self._levels += 1
         return level
 
-    def _link(self, src: int, dst: int) -> Tuple[float, float]:
-        if src < 0 or dst < 0:
-            raise ValueError(f"negative rank in link lookup: {src}->{dst}")
-        if src >= self._size or dst >= self._size:
-            self._grow((src if src > dst else dst) + 1)
-        if src == dst:
-            return self._self_link
-        node = self._node
-        if node[src] == node[dst]:
-            return self._intra_link
-        level = self._climb(node[src], node[dst])
+    def link(self, src_node: int, dst_node: int) -> Tuple[float, float]:
+        level = self._climb(src_node, dst_node)
         return (2 * level * self._hop, self._bw)
 
-    def transfer(self, src: int, dst: int, nbytes: int, ready: float
-                 ) -> TransferTiming:
-        if nbytes < 0:
-            raise ValueError("negative message size")
-        if src < 0 or dst < 0:
-            raise ValueError(f"negative rank in transfer: {src}->{dst}")
-        if src >= self._size or dst >= self._size:
-            self._grow((src if src > dst else dst) + 1)
-        node = self._node
-        src_node, dst_node = node[src], node[dst]
-        if src == dst or src_node == dst_node:
-            latency, bandwidth = (self._self_link if src == dst
-                                  else self._intra_link)
-            return self._shortcut_transfer(src, dst, nbytes, ready,
-                                           latency, bandwidth)
-        # inter-node: inject at the NIC, ascend the uplink timelines
-        serial = nbytes / self._bw
-        tx_free = self._tx_free
-        inject_start = tx_free[src]
-        if ready > inject_start:
-            inject_start = ready
-        sender_free = inject_start + serial
-        tx_free[src] = sender_free
+    def arrival(self, src_node: int, dst_node: int, nbytes: int,
+                sender_free: float) -> float:
+        """Ascend the source-side uplink timelines, then the hops."""
         level = self._climb(src_node, dst_node)
         t = sender_free
         radix = self._radix
@@ -142,19 +115,10 @@ class FatTreeFabric(Fabric):
                 start = t
             t = start + nbytes / self._up_bw[l - 1]
             queue[sw] = t
-        arrival = t + 2 * level * self._hop
-        delivered = self._rx_free[dst]
-        if arrival > delivered:
-            delivered = arrival
-        delivered += serial
-        self._rx_free[dst] = delivered
-        self.messages_sent += 1
-        self.bytes_sent += nbytes
-        return _tuple_new(TransferTiming,
-                          (inject_start, sender_free, arrival, delivered))
+        return t + 2 * level * self._hop
 
 
-class DragonflyFabric(Fabric):
+class DragonflyFabric:
     """Groups of nodes with cheap local links and one global pipe each.
 
     Nodes partition into groups of ``nodes_per_group``.  Group-local
@@ -167,63 +131,31 @@ class DragonflyFabric(Fabric):
     producers' global pipes.
     """
 
-    def __init__(self, config: MachineConfig, nranks: int):
-        super().__init__(config, nranks)
+    def __init__(self, config: MachineConfig, nodes: List[int]):
         topo = config.topology
         self._npg = topo.nodes_per_group
         self._bw = config.network.bandwidth   # NIC injection/drain rate
         self._local_latency = topo.local_latency
         self._global_latency = topo.global_latency
         self._global_bw = topo.global_bandwidth
-        ngroups = ((max(self._node) if self._node else 0) // self._npg) + 1
+        ngroups = ((max(nodes) if nodes else 0) // self._npg) + 1
         #: _global_free[group] = when the group's global pipe is free
         self._global_free = [0.0] * ngroups
 
     # ------------------------------------------------------------------
-    def _link(self, src: int, dst: int) -> Tuple[float, float]:
-        if src < 0 or dst < 0:
-            raise ValueError(f"negative rank in link lookup: {src}->{dst}")
-        if src >= self._size or dst >= self._size:
-            self._grow((src if src > dst else dst) + 1)
-        if src == dst:
-            return self._self_link
-        node = self._node
-        src_node, dst_node = node[src], node[dst]
-        if src_node == dst_node:
-            return self._intra_link
+    def link(self, src_node: int, dst_node: int) -> Tuple[float, float]:
         if src_node // self._npg == dst_node // self._npg:
             return (self._local_latency, self._bw)
         return (self._global_latency + 2 * self._local_latency, self._bw)
 
-    def transfer(self, src: int, dst: int, nbytes: int, ready: float
-                 ) -> TransferTiming:
-        if nbytes < 0:
-            raise ValueError("negative message size")
-        if src < 0 or dst < 0:
-            raise ValueError(f"negative rank in transfer: {src}->{dst}")
-        if src >= self._size or dst >= self._size:
-            self._grow((src if src > dst else dst) + 1)
-        node = self._node
-        src_node, dst_node = node[src], node[dst]
-        if src == dst or src_node == dst_node:
-            latency, bandwidth = (self._self_link if src == dst
-                                  else self._intra_link)
-            return self._shortcut_transfer(src, dst, nbytes, ready,
-                                           latency, bandwidth)
+    def arrival(self, src_node: int, dst_node: int, nbytes: int,
+                sender_free: float) -> float:
+        """Group-local: the local latency.  Cross-group: the source
+        group's global pipe, then the global and two local hops."""
         npg = self._npg
-        if src_node // npg == dst_node // npg:
-            # group-local: plain NIC discipline at the local latency
-            return self._shortcut_transfer(
-                src, dst, nbytes, ready, self._local_latency, self._bw)
-        # cross-group: inject at the NIC, then the source group's pipe
-        serial = nbytes / self._bw
-        tx_free = self._tx_free
-        inject_start = tx_free[src]
-        if ready > inject_start:
-            inject_start = ready
-        sender_free = inject_start + serial
-        tx_free[src] = sender_free
         group = src_node // npg
+        if group == dst_node // npg:
+            return sender_free + self._local_latency
         pipes = self._global_free
         if group >= len(pipes):
             pipes.extend([0.0] * (group + 1 - len(pipes)))
@@ -232,13 +164,4 @@ class DragonflyFabric(Fabric):
             start = sender_free
         t = start + nbytes / self._global_bw
         pipes[group] = t
-        arrival = t + self._global_latency + 2 * self._local_latency
-        delivered = self._rx_free[dst]
-        if arrival > delivered:
-            delivered = arrival
-        delivered += serial
-        self._rx_free[dst] = delivered
-        self.messages_sent += 1
-        self.bytes_sent += nbytes
-        return _tuple_new(TransferTiming,
-                          (inject_start, sender_free, arrival, delivered))
+        return t + self._global_latency + 2 * self._local_latency

@@ -106,7 +106,7 @@ def run(fn: Callable, nprocs: int,
     plan = None
     if faults is not None:
         # lazy import: repro.faults sits above simmpi in the layering
-        from ..faults.injector import FaultController, FaultyNetwork
+        from ..faults.injector import FaultController
         from ..faults.plan import FaultError, resolve_faults
         plan = resolve_faults(faults)
     if plan is not None:
@@ -124,8 +124,6 @@ def run(fn: Callable, nprocs: int,
                 raise FaultError(
                     "LinkDegrade events are modeled on the flat fabric "
                     f"only, not {machine.topology.kind!r}")
-            network_factory = (
-                lambda cfg, n, _plan=plan: FaultyNetwork(cfg, n, _plan))
 
     engine = (engine_factory or Engine)()
     engine.max_events = max_events
@@ -135,6 +133,8 @@ def run(fn: Callable, nprocs: int,
                   network_factory=network_factory)
     ctl = None
     if plan is not None:
+        if plan.link_events:
+            world.network.degrade(plan.link_events)
         ctl = FaultController(engine, world, plan)
         world._fault_ctl = ctl
 

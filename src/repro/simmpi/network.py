@@ -1,27 +1,27 @@
-"""Interconnect timing model: the fabric protocol and the flat fabric.
+"""Interconnect timing model: one NIC discipline for every fabric.
 
 The network model answers one question for the transport layer: given a
 message of ``nbytes`` from rank *s* to rank *d* injected at time *t*,
 when does it (a) free the sender's NIC, (b) arrive at the destination,
 and (c) finish occupying the destination's NIC?
 
-Since PR 3 the model is a *fabric protocol* (see DESIGN.md §9): the
-transport only depends on the small surface :class:`Fabric` defines —
-``transfer``, ``_link``, ``overheads``, ``is_eager``, ``dilation``,
-``node_of`` and the two traffic counters — and
-:func:`build_network` picks the implementation from the machine's
-:class:`~repro.simmpi.config.TopologyConfig`:
+:class:`Network` is the only class that times a message (DESIGN.md §9).
+The transport calls ``transfer``, ``_link`` (the rendezvous header's
+latency), ``node_of`` and the two traffic counters.  ``transfer``
+resolves the self, intra-node or inter-node link and then applies the
+same NIC discipline on every topology the machine's
+:class:`~repro.simmpi.config.TopologyConfig` selects:
 
-* :class:`Network` (here) — the flat two-level intra/inter-node LogGP
-  model.  The default, and bit-identical to the committed goldens and
-  to :class:`repro.simmpi.oracle.OracleNetwork` under block placement.
-* :class:`~repro.simmpi.fabrics.FatTreeFabric` — per-level uplink
-  contention timelines with tapered bandwidth.
-* :class:`~repro.simmpi.fabrics.DragonflyFabric` — group-local vs
-  global links, one shared global pipe per group.
+* ``"flat"`` — the two-level intra/inter-node LogGP model: an
+  inter-node message flies for the dilated ``latency``.  The default,
+  and bit-identical to the committed goldens and to
+  :class:`repro.simmpi.oracle.OracleNetwork` under block placement.
+* ``"fat_tree"`` / ``"dragonfly"`` — an inter-node message asks its
+  arrival from the topology's route in :mod:`repro.simmpi.fabrics`,
+  which walks its own uplink or global-pipe timelines.
 
-Rank→node mapping is no longer hard-coded: every fabric resolves the
-machine's :mod:`~repro.simmpi.placement` policy once into a flat
+Rank→node mapping is not hard-coded: the machine's
+:mod:`~repro.simmpi.placement` policy is resolved once into a flat
 rank-indexed node list.
 
 Design points, chosen to reproduce the paper's *shapes*:
@@ -32,13 +32,19 @@ Design points, chosen to reproduce the paper's *shapes*:
   group at 4,096+ processes (Section IV-B) — thousands of producers
   funnel into one consumer whose rx NIC serializes them.
 * **Intra-node shortcut.**  Ranks on the same node communicate with
-  lower latency / higher bandwidth (shared memory).
-* **Fabric dilation.**  One-way latency grows mildly (logarithmically)
-  with the job size beyond a base allocation, standing in for the extra
-  dragonfly hops and adaptive-routing traffic of large jobs.
+  lower latency / higher bandwidth (shared memory), whatever the cable
+  plant.
+* **Fabric dilation.**  On the flat fabric, one-way latency grows mildly
+  (logarithmically) with the job size beyond a base allocation,
+  standing in for the extra dragonfly hops and adaptive-routing traffic
+  of large jobs.
+* **Link degradation.**  :meth:`Network.degrade` installs
+  ``LinkDegrade`` windows: a message between the two nodes injected
+  inside a window serializes at ``bandwidth / bw_factor``.
 
-The model is deliberately first-order: deterministic, O(1) per message,
-and calibrated rather than cycle-accurate (see DESIGN.md §7).
+The model is deliberately first-order: deterministic, O(1) per message
+on the flat fabric, and calibrated rather than cycle-accurate (see
+DESIGN.md §7).
 
 Fast-path layout: the NIC timelines are flat lists indexed by rank
 (not dicts), node ids are precomputed per rank, and the three possible
@@ -54,6 +60,7 @@ import math
 from typing import NamedTuple, Tuple
 
 from .config import MachineConfig
+from .fabrics import DragonflyFabric, FatTreeFabric
 
 
 _tuple_new = tuple.__new__
@@ -73,30 +80,10 @@ class TransferTiming(NamedTuple):
     delivered: float      # when the receiver NIC has drained it (match time)
 
 
-class Fabric:
-    """Shared state and the contract every interconnect model honours.
-
-    The transport calls exactly this surface (DESIGN.md §9):
-
-    ``transfer(src, dst, nbytes, ready) -> TransferTiming``
-        Commit one message; mutates the NIC (and fabric) timelines.
-    ``_link(src, dst) -> (latency, bandwidth)``
-        Header cost of the rendezvous protocol (latency-only ship).
-    ``overheads() -> (o_send, o_recv)``, ``is_eager(nbytes)``,
-    ``dilation()``
-        CPU overheads, protocol switch, job-size latency factor.
-    ``node_of(rank)``, ``messages_sent`` / ``bytes_sent``
-        Placement-resolved node map and traffic statistics.
-
-    Subclasses implement ``transfer`` / ``_link``; everything here is
-    the shared fast-path state: flat per-rank NIC timelines, the
-    placement-resolved node list (grown lazily for out-of-range rank
-    ids), the three cached link tuples and the dilation factor.
-    """
+class Network:
+    """Stateful NIC-timeline network model of one machine."""
 
     def __init__(self, config: MachineConfig, nranks: int):
-        self.config = config
-        self.nranks = nranks
         # flat per-rank NIC timelines: list indexing beats dict lookups
         # in the per-message hot path
         self._tx_free = [0.0] * nranks
@@ -106,7 +93,6 @@ class Fabric:
             dil = 1.0 + net.fabric_dilation * math.log2(nranks / net.dilation_base)
         else:
             dil = 1.0
-        self._dilation = dil
         # per-rank node ids from the machine's placement policy and the
         # three possible link resolutions, precomputed once
         # (MachineConfig is frozen)
@@ -115,8 +101,21 @@ class Fabric:
         self._self_link = (0.0, net.intra_node_bandwidth)
         self._intra_link = (net.intra_node_latency, net.intra_node_bandwidth)
         self._inter_link = (net.latency * dil, net.bandwidth)
-        self._eager_threshold = net.eager_threshold
         self._size = nranks
+        #: the inter-node route of a non-flat topology; None on the flat
+        #: fabric, whose wire is ``_inter_link``
+        kind = config.topology.kind
+        if kind == "flat":
+            self._route = None
+        elif kind == "fat_tree":
+            self._route = FatTreeFabric(config, self._node)
+        elif kind == "dragonfly":
+            self._route = DragonflyFabric(config, self._node)
+        else:
+            raise ValueError(f"unknown topology kind {kind!r}")
+        #: (low node, high node) -> sorted [(t0, t1, bw_factor)]; empty
+        #: unless :meth:`degrade` installed windows
+        self._windows = {}
         # statistics
         self.messages_sent = 0
         self.bytes_sent = 0
@@ -141,63 +140,33 @@ class Fabric:
             self._grow(rank + 1)
         return self._node[rank]
 
-    def _shortcut_transfer(self, src: int, dst: int, nbytes: int,
-                           ready: float, latency: float, bandwidth: float
-                           ) -> TransferTiming:
-        """The self-send / intra-node NIC discipline every fabric
-        shares: tx serialization, rx drain for distinct ranks, no rx
-        occupancy for self-sends.  Topology fabrics route their
-        same-node messages through here so the cross-fabric parity
-        ("shared memory does not care about the cable plant") lives in
-        one place; the flat :class:`Network` keeps its own inlined copy
-        — ``transfer`` is the per-message hot path and must also stay
-        textually byte-identical to the seed."""
-        serial = nbytes / bandwidth
-        tx_free = self._tx_free
-        inject_start = tx_free[src]
-        if ready > inject_start:
-            inject_start = ready
-        sender_free = inject_start + serial
-        tx_free[src] = sender_free
-        arrival = sender_free + latency
-        delivered = self._rx_free[dst]
-        if arrival > delivered:
-            delivered = arrival
-        if src != dst:
-            delivered += serial
-            self._rx_free[dst] = delivered
-        self.messages_sent += 1
-        self.bytes_sent += nbytes
-        return _tuple_new(TransferTiming,
-                          (inject_start, sender_free, arrival, delivered))
+    def degrade(self, windows) -> None:
+        """Install link-degradation windows (``LinkDegrade`` events:
+        ``t0``, ``t1``, ``node_a``, ``node_b``, ``bw_factor``).
+
+        A message between the two nodes whose injection starts inside
+        ``[t0, t1)`` serializes at ``bandwidth / bw_factor``; where a
+        pair's windows overlap, the earliest-starting one applies."""
+        for ev in windows:
+            a, b = ev.node_a, ev.node_b
+            key = (a, b) if a < b else (b, a)
+            self._windows.setdefault(key, []).append(
+                (ev.t0, ev.t1, ev.bw_factor))
+        for spans in self._windows.values():
+            spans.sort()
+
+    def _bw_factor(self, src_node: int, dst_node: int, when: float) -> float:
+        key = ((src_node, dst_node) if src_node < dst_node
+               else (dst_node, src_node))
+        for t0, t1, factor in self._windows.get(key, ()):
+            if t0 <= when < t1:
+                return factor
+        return 1.0
 
     # ------------------------------------------------------------------
     def _link(self, src: int, dst: int) -> Tuple[float, float]:
-        raise NotImplementedError
-
-    def transfer(self, src: int, dst: int, nbytes: int, ready: float
-                 ) -> TransferTiming:
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    def overheads(self) -> Tuple[float, float]:
-        """(o_send, o_recv) CPU overheads per message."""
-        net = self.config.network
-        return (net.o_send, net.o_recv)
-
-    def is_eager(self, nbytes: int) -> bool:
-        return nbytes <= self._eager_threshold
-
-    def dilation(self) -> float:
-        return self._dilation
-
-
-class Network(Fabric):
-    """The flat two-level fabric: stateful NIC-timeline network model."""
-
-    # ------------------------------------------------------------------
-    def _link(self, src: int, dst: int) -> Tuple[float, float]:
-        """(latency, bandwidth) for the src->dst pair."""
+        """(latency, bandwidth) for the src->dst pair: the rendezvous
+        header's cost."""
         if src < 0 or dst < 0:
             raise ValueError(f"negative rank in link lookup: {src}->{dst}")
         if src >= self._size or dst >= self._size:
@@ -206,9 +175,14 @@ class Network(Fabric):
             # self-send: memcpy-like
             return self._self_link
         node = self._node
-        if node[src] == node[dst]:
+        src_node = node[src]
+        dst_node = node[dst]
+        if src_node == dst_node:
             return self._intra_link
-        return self._inter_link
+        route = self._route
+        if route is None:
+            return self._inter_link
+        return route.link(src_node, dst_node)
 
     def transfer(self, src: int, dst: int, nbytes: int, ready: float) -> TransferTiming:
         """Timing for ``nbytes`` from ``src`` to ``dst``, ready at ``ready``.
@@ -225,34 +199,40 @@ class Network(Fabric):
             raise ValueError(f"negative rank in transfer: {src}->{dst}")
         if src >= self._size or dst >= self._size:
             self._grow((src if src > dst else dst) + 1)
-        if src == dst:
-            latency, bandwidth = self._self_link
-        else:
-            node = self._node
-            if node[src] == node[dst]:
-                latency, bandwidth = self._intra_link
-            else:
-                latency, bandwidth = self._inter_link
-        serial = nbytes / bandwidth
         tx_free = self._tx_free
         inject_start = tx_free[src]
         if ready > inject_start:
             inject_start = ready
+        route = None
+        if src == dst:
+            latency, bandwidth = self._self_link
+        else:
+            node = self._node
+            src_node = node[src]
+            dst_node = node[dst]
+            if src_node == dst_node:
+                latency, bandwidth = self._intra_link
+            else:
+                latency, bandwidth = self._inter_link
+                route = self._route
+                if self._windows:
+                    bandwidth = bandwidth / self._bw_factor(
+                        src_node, dst_node, inject_start)
+        serial = nbytes / bandwidth
         sender_free = inject_start + serial
         tx_free[src] = sender_free
-        arrival = sender_free + latency
+        if route is None:
+            arrival = sender_free + latency
+        else:
+            arrival = route.arrival(src_node, dst_node, nbytes, sender_free)
+        delivered = self._rx_free[dst]
+        if arrival > delivered:
+            delivered = arrival
         if src != dst:
             # rx occupancy only for the wire transfer; self-sends
             # don't queue.
-            delivered = self._rx_free[dst]
-            if arrival > delivered:
-                delivered = arrival
             delivered += serial
             self._rx_free[dst] = delivered
-        else:
-            delivered = self._rx_free[dst]
-            if arrival > delivered:
-                delivered = arrival
         self.messages_sent += 1
         self.bytes_sent += nbytes
         # direct tuple construction: both the generated namedtuple
@@ -260,20 +240,3 @@ class Network(Fabric):
         # transport profiles
         return _tuple_new(TransferTiming,
                           (inject_start, sender_free, arrival, delivered))
-
-
-def build_network(config: MachineConfig, nranks: int) -> Fabric:
-    """Instantiate the fabric the machine's topology selects.
-
-    This is the default ``network_factory`` of the launcher/transport;
-    injection (``repro.simmpi.oracle.SLOW_PATH``) still overrides it.
-    """
-    kind = config.topology.kind
-    if kind == "flat":
-        return Network(config, nranks)
-    from .fabrics import DragonflyFabric, FatTreeFabric
-    if kind == "fat_tree":
-        return FatTreeFabric(config, nranks)
-    if kind == "dragonfly":
-        return DragonflyFabric(config, nranks)
-    raise ValueError(f"unknown topology kind {kind!r}")

@@ -3,7 +3,7 @@
 A :class:`Win` exposes a per-rank region of ``nbytes`` addressable
 bytes over an intracommunicator.  ``put``/``get`` move data without the
 target posting a receive; the transfer itself is costed through the
-machine's :class:`~repro.simmpi.fabrics.Fabric` exactly like a
+machine's :class:`~repro.simmpi.network.Network` exactly like a
 point-to-point message (same latency/bandwidth/contention model), so
 one-sided and two-sided traffic share a single timing story.
 

@@ -4,38 +4,23 @@ ensembles, and grid decompositions (DESIGN.md substitutions)."""
 from .corpus import (
     CorpusSpec,
     FileSpec,
-    assign_files_round_robin,
-    corpus_files,
     file_histogram,
     histogram_nbytes,
     merge_histograms,
-    sample_words,
 )
-from .grids import (
-    CG_POINTS_PER_PROCESS,
-    BlockSpec,
-    cubic_block,
-    dot_flops,
-    global_grid,
-    laplacian_flops,
-)
+from .grids import BlockSpec
 from .particles import (
     GEM_TOTAL_PARTICLES,
     PARTICLE_BYTES,
     GEMSetup,
     ParticleBlock,
-    exiting_fraction,
     gem_counts,
     gem_density_profile,
-    imbalance_ratio,
 )
 
 __all__ = [
-    "BlockSpec", "CG_POINTS_PER_PROCESS", "CorpusSpec", "FileSpec",
-    "GEMSetup", "GEM_TOTAL_PARTICLES", "PARTICLE_BYTES", "ParticleBlock",
-    "assign_files_round_robin", "corpus_files", "cubic_block", "dot_flops",
-    "exiting_fraction", "file_histogram", "gem_counts",
-    "gem_density_profile", "global_grid", "histogram_nbytes",
-    "imbalance_ratio", "laplacian_flops", "merge_histograms",
-    "sample_words",
+    "BlockSpec", "CorpusSpec", "FileSpec", "GEMSetup",
+    "GEM_TOTAL_PARTICLES", "PARTICLE_BYTES", "ParticleBlock",
+    "file_histogram", "gem_counts", "gem_density_profile",
+    "histogram_nbytes", "merge_histograms",
 ]

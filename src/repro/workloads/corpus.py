@@ -5,19 +5,15 @@ MapReduce case study depends on is (a) Zipf-distributed word
 frequencies — "natural language has irregular distribution of words so
 that the application will produce variable amount of results on
 processes" — and (b) irregular file sizes (256 MB - 1 GB per log file).
-Both are generated here, deterministically from a seed.
-
-Two fidelity modes share one spec:
-
-* :func:`sample_words` — an actual word sequence (numeric mode; small);
-* :func:`file_histogram` — the word histogram a map task would emit for
-  the whole file (scale mode; multinomial draw, no text materialized).
+Both are generated here, deterministically from a seed:
+:func:`file_histogram` is the word histogram a map task would emit for
+a whole file (a multinomial draw, no text materialized).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -74,36 +70,10 @@ class FileSpec:
         return max(1, int(self.nbytes / MEAN_WORD_BYTES))
 
 
-def corpus_files(spec: CorpusSpec, nfiles: int) -> List[FileSpec]:
-    """Deterministic list of files with irregular sizes (uniform over
-    [min_file_bytes, max_file_bytes], as the paper reports)."""
-    if nfiles < 0:
-        raise ValueError("nfiles must be non-negative")
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    sizes = rng.integers(spec.min_file_bytes, spec.max_file_bytes + 1,
-                         size=nfiles)
-    return [FileSpec(i, int(s)) for i, s in enumerate(sizes)]
-
-
 def _file_rng(spec: CorpusSpec, file_index: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=spec.seed, spawn_key=(1, file_index))
     )
-
-
-def sample_words(spec: CorpusSpec, file: FileSpec, nwords: int
-                 ) -> List[str]:
-    """An actual word sequence from the file (numeric mode).
-
-    ``nwords`` caps materialization; the sample is the *prefix* of the
-    file's deterministic stream, so repeated calls agree.
-    """
-    if nwords < 0:
-        raise ValueError("nwords must be non-negative")
-    rng = _file_rng(spec, file.index)
-    ids = rng.choice(spec.vocabulary, size=min(nwords, file.nwords),
-                     p=spec.frequencies())
-    return [spec.word(int(i)) for i in ids]
 
 
 def file_histogram(spec: CorpusSpec, file: FileSpec,
@@ -134,14 +104,3 @@ def histogram_nbytes(hist: Dict[str, int]) -> int:
     """Wire size of a histogram: key strings + 8-byte counts."""
     return sum(len(k) + 8 for k in hist)
 
-
-def assign_files_round_robin(files: Sequence[FileSpec], nranks: int
-                             ) -> List[List[FileSpec]]:
-    """Deal files to ranks; sizes differ so workloads are imbalanced —
-    the irregularity the decoupled MapReduce exploits."""
-    if nranks <= 0:
-        raise ValueError("nranks must be positive")
-    out: List[List[FileSpec]] = [[] for _ in range(nranks)]
-    for i, f in enumerate(files):
-        out[i % nranks].append(f)
-    return out

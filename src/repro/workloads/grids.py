@@ -9,10 +9,6 @@ points per process.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
-
-#: paper's CG weak-scaling block: 120^3 points per process
-CG_POINTS_PER_PROCESS = 120
 
 
 @dataclass(frozen=True)
@@ -70,27 +66,3 @@ class BlockSpec:
     def nbytes(self) -> int:
         return self.points * self.value_bytes
 
-
-def cubic_block(points_per_axis: int = CG_POINTS_PER_PROCESS,
-                value_bytes: int = 8) -> BlockSpec:
-    """The paper's per-process CG block (120^3 doubles)."""
-    return BlockSpec(points_per_axis, points_per_axis, points_per_axis,
-                     value_bytes)
-
-
-def global_grid(dims: Sequence[int], block: BlockSpec) -> Tuple[int, int, int]:
-    """Global grid extent for ``dims`` processes holding ``block`` each."""
-    if len(dims) != 3:
-        raise ValueError("dims must have three entries")
-    return (dims[0] * block.nx, dims[1] * block.ny, dims[2] * block.nz)
-
-
-def laplacian_flops(block: BlockSpec) -> int:
-    """Floating-point operations of one 7-point stencil sweep (8 per
-    point: 6 adds + 1 multiply + 1 subtract)."""
-    return 8 * block.points
-
-
-def dot_flops(block: BlockSpec) -> int:
-    """FLOPs of one local dot product (multiply+add per point)."""
-    return 2 * block.points

@@ -8,8 +8,6 @@ unpredictably).  This module produces both, deterministically:
 
 * :func:`gem_counts` — per-rank particle counts from the GEM
   current-sheet density profile ``n(y) ~ sech^2(y/lambda) + n_bg``;
-* :func:`exiting_fraction` — per-step fraction of a rank's particles
-  that leave its subdomain;
 * :class:`ParticleBlock` — a real NumPy particle container used by the
   numeric-mode Boris mover in :mod:`repro.apps.ipic3d.particles`.
 
@@ -72,30 +70,6 @@ def gem_counts(nranks: int, setup: GEMSetup) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(setup.seed))
     counts = rng.multinomial(setup.total_particles, prof)
     return counts
-
-
-def imbalance_ratio(counts: np.ndarray) -> float:
-    """max/mean of per-rank counts (1.0 = perfectly balanced)."""
-    counts = np.asarray(counts, dtype=np.float64)
-    mean = counts.mean()
-    return float(counts.max() / mean) if mean > 0 else 1.0
-
-
-def exiting_fraction(rank: int, step: int, setup: GEMSetup,
-                     mean_fraction: float = 0.02) -> float:
-    """Fraction of a rank's particles leaving its subdomain this step.
-
-    Deterministic in (rank, step, seed); lognormal around
-    ``mean_fraction`` so that exit traffic is irregular across ranks and
-    time — the "impossible to know a-priori" dynamics of Section IV-D.
-    """
-    if not (0.0 <= mean_fraction <= 1.0):
-        raise ValueError("mean_fraction must be in [0, 1]")
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=setup.seed, spawn_key=(rank, step))
-    )
-    frac = mean_fraction * float(rng.lognormal(0.0, 0.75))
-    return min(1.0, frac)
 
 
 class ParticleBlock:

@@ -163,6 +163,17 @@ def test_committed_fabric_contention_golden_matches():
     perf.check_golden(rec, golden)
 
 
+def test_committed_fig5_placement_golden_matches():
+    """The group-aware placement gate: fig5-placement partitions the
+    reduce groups across a fat-tree, so its golden pins uplink
+    contention under a non-block node map."""
+    golden = os.path.join(os.path.dirname(__file__), "..", "..",
+                          "benchmarks", "golden",
+                          "fig5_placement_perf.json")
+    rec = perf.run_scenario("fig5-placement", "fast")
+    perf.check_golden(rec, golden)
+
+
 def test_committed_fig7_pcomm_golden_matches():
     """The stream-consumer gate: fig7-pcomm's consumers read their
     streams through ``operate_pending`` and ``recv_element`` with TERMs,

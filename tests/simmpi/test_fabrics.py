@@ -1,6 +1,6 @@
-"""Tests for the fabric protocol: flat/fat-tree/dragonfly dispatch, the
-topology-specific contention behaviours, and the randomized flat-fabric
-vs ``OracleNetwork`` equivalence cross-check."""
+"""Tests for the network's topologies: flat/fat-tree/dragonfly route
+selection, the topology-specific contention behaviours, and the
+randomized flat-fabric vs ``OracleNetwork`` equivalence cross-check."""
 
 import random
 
@@ -16,7 +16,7 @@ from repro.simmpi.config import (
 )
 from repro.simmpi.fabrics import DragonflyFabric, FatTreeFabric
 from repro.simmpi.errors import OracleConfigError
-from repro.simmpi.network import Network, build_network
+from repro.simmpi.network import Network
 from repro.simmpi.oracle import OracleNetwork
 from repro.simmpi.placement import BlockPlacement, RoundRobinPlacement
 
@@ -30,10 +30,12 @@ def _machine(kind, **topo_kw):
 # dispatch
 # ----------------------------------------------------------------------
 
-def test_build_network_dispatches_on_topology_kind():
-    assert isinstance(build_network(quiet_testbed(), 64), Network)
-    assert isinstance(build_network(_machine("fat_tree"), 64), FatTreeFabric)
-    assert isinstance(build_network(_machine("dragonfly"), 64),
+def test_network_picks_route_from_topology_kind():
+    """One Network times every topology; the kind picks its route."""
+    assert Network(quiet_testbed(), 64)._route is None
+    assert isinstance(Network(_machine("fat_tree"), 64)._route,
+                      FatTreeFabric)
+    assert isinstance(Network(_machine("dragonfly"), 64)._route,
                       DragonflyFabric)
 
 
@@ -149,7 +151,7 @@ def _fat_tree(nranks=64, rpn=8, **topo_kw):
         ranks_per_node=rpn,
         network=NetworkConfig(fabric_dilation=0.0),
         topology=TopologyConfig(kind="fat_tree", **topo_kw))
-    return FatTreeFabric(cfg, nranks)
+    return Network(cfg, nranks)
 
 
 def test_fat_tree_same_node_matches_flat_shortcut():
@@ -218,7 +220,7 @@ def _dragonfly(nranks=64, rpn=4, **topo_kw):
         ranks_per_node=rpn,
         network=NetworkConfig(fabric_dilation=0.0),
         topology=TopologyConfig(kind="dragonfly", **topo_kw))
-    return DragonflyFabric(cfg, nranks)
+    return Network(cfg, nranks)
 
 
 def test_dragonfly_local_cheaper_than_global():
@@ -245,7 +247,7 @@ def test_dragonfly_global_pipe_serializes_per_source_group():
     net2 = _dragonfly()
     c = net2.transfer(0, 20, nbytes, ready=0.0)   # group 0 -> 1
     d = net2.transfer(32, 0, nbytes, ready=0.0)   # group 2 -> 0
-    assert abs(c.arrival - d.arrival) < net2._global_latency
+    assert abs(c.arrival - d.arrival) < net2._route._global_latency
 
 
 def test_dragonfly_same_node_matches_flat_shortcut():
@@ -306,8 +308,8 @@ def test_flat_fabric_ignores_placement_only_through_node_map():
     get the intra-node shortcut — consecutive ranks never share."""
     cfg = quiet_testbed().with_(ranks_per_node=4,
                                 placement=RoundRobinPlacement())
-    net = build_network(cfg, 32)
-    assert isinstance(net, Network)
+    net = Network(cfg, 32)
+    assert net._route is None
     lat_01 = net._link(0, 1)[0]
     assert lat_01 == cfg.network.latency   # neighbours now cross nodes
     assert net._link(0, 8)[0] == cfg.network.intra_node_latency

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.simmpi.config import MachineConfig, NetworkConfig, beskow, quiet_testbed
+from repro.simmpi.config import (
+    IOConfig,
+    MachineConfig,
+    NetworkConfig,
+    beskow,
+    quiet_testbed,
+)
+from repro.simmpi.launcher import run
 from repro.simmpi.network import Network
 
 
@@ -74,10 +81,12 @@ def test_self_send_has_no_latency_or_rx_queue():
 
 def test_fabric_dilation_grows_with_job_size():
     cfg = beskow()
+    latency = cfg.network.latency
     small = Network(cfg, 64)
     large = Network(cfg, 8192)
-    assert small.dilation() == pytest.approx(1.0)
-    assert large.dilation() > 1.2
+    # ranks 0 and 32 sit on different nodes (32 ranks/node)
+    assert small._link(0, 32)[0] == pytest.approx(latency)
+    assert large._link(0, 32)[0] > 1.2 * latency
 
 
 def test_dilation_increases_latency_not_bandwidth():
@@ -87,13 +96,6 @@ def test_dilation_increases_latency_not_bandwidth():
     t_small = small.transfer(0, 32, nbytes=0, ready=0.0)
     t_large = large.transfer(0, 32, nbytes=0, ready=0.0)
     assert t_large.delivered > t_small.delivered
-
-
-def test_eager_threshold_classification():
-    net = _net()
-    thr = net.config.network.eager_threshold
-    assert net.is_eager(thr)
-    assert not net.is_eager(thr + 1)
 
 
 def test_traffic_statistics_accumulate():
@@ -119,3 +121,31 @@ def test_config_validation_rejects_bad_values():
         MachineConfig(ranks_per_node=0).validate()
     with pytest.raises(ValueError):
         MachineConfig(compute_speed=0).validate()
+
+
+@pytest.mark.parametrize("config, field", [
+    (NetworkConfig(o_send=-1e-6), "o_send"),
+    (NetworkConfig(o_recv=-1e-6), "o_recv"),
+    (NetworkConfig(fabric_dilation=-0.1), "fabric_dilation"),
+    (NetworkConfig(dilation_base=0), "dilation_base"),
+    (NetworkConfig(dilation_base=-64), "dilation_base"),
+    (IOConfig(client_overhead=-1e-6), "client_overhead"),
+    (IOConfig(shared_pointer_overhead=-1e-6), "shared_pointer_overhead"),
+    (IOConfig(view_setup_overhead=-1e-6), "view_setup_overhead"),
+    (IOConfig(collective_exchange_overhead=-1e-6),
+     "collective_exchange_overhead"),
+    (IOConfig(open_overhead=-1e-6), "open_overhead"),
+])
+def test_config_validation_names_ignored_or_late_failing_field(config, field):
+    """Values that used to be silently clamped, or to fail only at the
+    first transfer or I/O call, are rejected where the config is
+    checked, and a run refuses them before it starts."""
+    def prog(comm):
+        yield from comm.barrier()
+
+    with pytest.raises(ValueError, match=field):
+        config.validate()
+    part = "network" if isinstance(config, NetworkConfig) else "io"
+    with pytest.raises(ValueError, match=field):
+        run(prog, 2, machine=quiet_testbed().with_(**{part: config}))
+

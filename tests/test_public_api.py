@@ -88,7 +88,7 @@ def test_simmpi_exports():
     for name in ("run", "beskow", "quiet_testbed", "Comm", "ANY_SOURCE",
                  "SizedPayload", "CartComm", "dims_create",
                  "TopologyConfig", "Placement", "BlockPlacement",
-                 "FatTreeFabric", "DragonflyFabric", "build_network"):
+                 "FatTreeFabric", "DragonflyFabric", "Network"):
         assert hasattr(m, name), name
 
 
